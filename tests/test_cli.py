@@ -6,6 +6,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,26 @@ def run_cli(capsys, argv) -> tuple[int, str, str]:
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_CLI = REPO / "tests" / "golden" / "cli"
+FORMAT_SUFFIX = {"table": "txt", "csv": "csv", "json": "json"}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SUFFIX))
+@pytest.mark.parametrize(
+    "config", sorted(p.name for p in (REPO / "configs").glob("*.json"))
+)
+def test_shipped_config_output_matches_golden(capsys, config, fmt):
+    """Every shipped config in every format reproduces its golden report
+    byte for byte."""
+    path = REPO / "configs" / config
+    task = json.loads(path.read_text(encoding="utf-8"))["task"]
+    code, out, err = run_cli(capsys, [task, "--config", str(path), "--format", fmt])
+    assert (code, err) == (EXIT_OK, "")
+    golden = GOLDEN_CLI / f"{path.stem}.{FORMAT_SUFFIX[fmt]}"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 P2_BOUND = {
