@@ -66,9 +66,8 @@ class BoundInputs:
     """Numerical inputs for the bound evaluators.
 
     ``degree`` is C.H, ``k2_base`` is K^2 of the un-blown-up base surface,
-    ``n`` the number of blown-up points.  ``pg`` (geometric genus) and
-    ``h0_antik`` (h^0(-K) or an upper bound for it) are user-supplied where
-    a formula needs them; the library never infers them.
+    ``n`` the number of blown-up points.  ``pg`` (geometric genus) is
+    user-supplied where a formula needs it; the library never infers it.
     """
 
     degree: int
@@ -79,7 +78,6 @@ class BoundInputs:
     chi: int
     c2: int
     pg: int = 0
-    h0_antik: int | None = None
 
     def __post_init__(self) -> None:
         if self.a0 < 1:
@@ -143,98 +141,59 @@ def inputs_for_curve(
     return inputs_for_degree(surface, degree, pg=pg)
 
 
-def blowup_bound_chi_ge1(inputs: BoundInputs) -> BoundReport:
-    """Blow-up bound for base surfaces with chi(O_X) >= 1.
+def blowup_bound(inputs: BoundInputs) -> BoundReport:
+    """Blow-up bound, with the chi(O_X) >= 1 and chi(O_X) < 1 rules in one.
 
-    With k2 = K^2 - n the two cases are
+    With k2 = K^2 - n and c = min(chi - 1, 0) the two cases are
         K^2 <= n:  bound = min(upper, unit)
         K^2 >  n:  bound = min(unit, lower)
     where
-        upper = (degree + a0)/(2*a0) * k2 - 3
-        lower = (degree + 1)/(2*a0) * k2 - 3
-        unit  = (H^2 + 1)/2 * k2 - a0^2 - 3 + a0*degree/H^2
+        upper = c + (degree + a0)/(2*a0) * k2 - 3
+        lower = c + (degree + 1)/(2*a0) * k2 - 3
+        unit  = (H^2 + 1)/2 * k2 - a0^2 - 3 + (a0*degree + c)/H^2
+
+    The unit-pivot constant is -3 in both rules, as the general derivation
+    gives; a worked ruled-surface specialization of the chi < 1 rule states
+    -4 instead, and report emitters flag that difference.
     """
+    c = min(inputs.chi - 1, 0)
+    k2_top = Fraction(inputs.k2_base - inputs.n)
+    upper = c + Fraction(inputs.degree + inputs.a0, 2 * inputs.a0) * k2_top - 3
+    lower = c + Fraction(inputs.degree + 1, 2 * inputs.a0) * k2_top - 3
+    unit = (
+        Fraction(inputs.h2 + 1, 2) * k2_top
+        - inputs.a0**2
+        - 3
+        + Fraction(inputs.a0 * inputs.degree + c, inputs.h2)
+    )
+    le_n = inputs.k2_base <= inputs.n
+    return BoundReport(
+        rule=RULE_BLOWUP_CHI_GE1 if inputs.chi >= 1 else RULE_BLOWUP_CHI_LT1,
+        case=CASE_K2_LE_N if le_n else CASE_K2_GT_N,
+        bound=min(upper, unit) if le_n else min(unit, lower),
+        term_pivot_upper=upper if le_n else None,
+        term_pivot_lower=None if le_n else lower,
+        term_unit_pivot=unit,
+        hypotheses=CALLER_HYPOTHESES,
+    )
+
+
+def blowup_bound_chi_ge1(inputs: BoundInputs) -> BoundReport:
+    """``blowup_bound`` restricted to base surfaces with chi(O_X) >= 1."""
     if inputs.chi < 1:
         raise ValueError(
             f"chi(O_X) = {inputs.chi} < 1: use blowup_bound_chi_lt1 instead"
         )
-    k2_top = Fraction(inputs.k2_base - inputs.n)
-    upper = Fraction(inputs.degree + inputs.a0, 2 * inputs.a0) * k2_top - 3
-    lower = Fraction(inputs.degree + 1, 2 * inputs.a0) * k2_top - 3
-    unit = (
-        Fraction(inputs.h2 + 1, 2) * k2_top
-        - inputs.a0**2
-        - 3
-        + Fraction(inputs.a0 * inputs.degree, inputs.h2)
-    )
-    if inputs.k2_base <= inputs.n:
-        return BoundReport(
-            rule=RULE_BLOWUP_CHI_GE1,
-            case=CASE_K2_LE_N,
-            bound=min(upper, unit),
-            term_pivot_upper=upper,
-            term_unit_pivot=unit,
-            hypotheses=CALLER_HYPOTHESES,
-        )
-    return BoundReport(
-        rule=RULE_BLOWUP_CHI_GE1,
-        case=CASE_K2_GT_N,
-        bound=min(unit, lower),
-        term_pivot_lower=lower,
-        term_unit_pivot=unit,
-        hypotheses=CALLER_HYPOTHESES,
-    )
+    return blowup_bound(inputs)
 
 
 def blowup_bound_chi_lt1(inputs: BoundInputs) -> BoundReport:
-    """Blow-up bound for base surfaces with chi(O_X) < 1.
-
-    Same case split as the chi >= 1 bound, with
-        upper = chi + (degree + a0)/(2*a0) * k2 - 4
-        lower = chi + (degree + 1)/(2*a0) * k2 - 4
-        unit  = (H^2 + 1)/2 * k2 - a0^2 - 3 + (a0*degree + chi - 1)/H^2
-
-    The unit-pivot constant is -3, as the general derivation gives; a
-    worked ruled-surface specialization states -4 instead, and report
-    emitters flag that difference.
-    """
+    """``blowup_bound`` restricted to base surfaces with chi(O_X) < 1."""
     if inputs.chi >= 1:
         raise ValueError(
             f"chi(O_X) = {inputs.chi} >= 1: use blowup_bound_chi_ge1 instead"
         )
-    k2_top = Fraction(inputs.k2_base - inputs.n)
-    upper = inputs.chi + Fraction(inputs.degree + inputs.a0, 2 * inputs.a0) * k2_top - 4
-    lower = inputs.chi + Fraction(inputs.degree + 1, 2 * inputs.a0) * k2_top - 4
-    unit = (
-        Fraction(inputs.h2 + 1, 2) * k2_top
-        - inputs.a0**2
-        - 3
-        + Fraction(inputs.a0 * inputs.degree + inputs.chi - 1, inputs.h2)
-    )
-    if inputs.k2_base <= inputs.n:
-        return BoundReport(
-            rule=RULE_BLOWUP_CHI_LT1,
-            case=CASE_K2_LE_N,
-            bound=min(upper, unit),
-            term_pivot_upper=upper,
-            term_unit_pivot=unit,
-            hypotheses=CALLER_HYPOTHESES,
-        )
-    return BoundReport(
-        rule=RULE_BLOWUP_CHI_LT1,
-        case=CASE_K2_GT_N,
-        bound=min(unit, lower),
-        term_pivot_lower=lower,
-        term_unit_pivot=unit,
-        hypotheses=CALLER_HYPOTHESES,
-    )
-
-
-def blowup_bound(inputs: BoundInputs) -> BoundReport:
-    """Dispatch to the chi-appropriate blow-up bound."""
-    if inputs.chi >= 1:
-        return blowup_bound_chi_ge1(inputs)
-    return blowup_bound_chi_lt1(inputs)
+    return blowup_bound(inputs)
 
 
 def evaluate_curve(

@@ -38,7 +38,7 @@ from .enumeration import (
     CurveClassQuery,
     enumerate_classes,
     minus_one_candidates,
-    minus_one_degree_cutoff,
+    minus_one_query,
     verify_bounds,
 )
 from .lattice import (
@@ -197,12 +197,17 @@ def _bound_row(report: BoundReport, degree: int, n: int) -> dict:
     }
 
 
-def run_bound(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[str]]:
+# What a task runner returns: report rows, the bound rules that fired (for
+# the discrepancy flags), and the number of failed verifications.
+TaskResult = tuple[list[dict], set[str], int]
+
+
+def run_bound(surface: SurfaceModel, params: dict) -> TaskResult:
     if "degree" not in params:
         raise ConfigError("params field $.params.degree: required for the bound task")
     inputs = inputs_for_degree(surface, params["degree"], pg=params.get("pg", 0))
     report = blowup_bound(inputs)
-    return [_bound_row(report, inputs.degree, inputs.n)], {report.rule}
+    return [_bound_row(report, inputs.degree, inputs.n)], {report.rule}, 0
 
 
 def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorClass:
@@ -214,7 +219,7 @@ def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorCla
     return DivisorClass(coords)
 
 
-def run_zariski(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[str]]:
+def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
     if "divisor" not in params:
         raise ConfigError("params field $.params.divisor: required for the zariski task")
     divisor = _parse_coords(params["divisor"], surface.rank, "$.params.divisor")
@@ -246,30 +251,28 @@ def run_zariski(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[st
                 "coords": [format_rational(c) for c in curve.coords],
             }
         )
-    return rows, set()
+    return rows, set(), 0
 
 
 def _query_from_params(surface: SurfaceModel, params: dict) -> CurveClassQuery:
     self_int = params.get("self_intersection", -1)
     k_degree = params.get("canonical_degree", -1)
     if "max_degree" in params:
-        max_degree = params["max_degree"]
-    elif (self_int, k_degree) == (-1, -1):
-        max_degree = minus_one_degree_cutoff(max(surface.n_blowups, 1))
-    else:
-        raise ConfigError(
-            "params field $.params.max_degree: required unless the query is "
-            "the standard (-1, -1) search"
+        return CurveClassQuery(
+            surface=surface,
+            self_int=self_int,
+            canonical_degree=k_degree,
+            max_degree=params["max_degree"],
         )
-    return CurveClassQuery(
-        surface=surface,
-        self_int=self_int,
-        canonical_degree=k_degree,
-        max_degree=max_degree,
+    if (self_int, k_degree) == (-1, -1):
+        return minus_one_query(surface)
+    raise ConfigError(
+        "params field $.params.max_degree: required unless the query is "
+        "the standard (-1, -1) search"
     )
 
 
-def run_enumerate(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[str]]:
+def run_enumerate(surface: SurfaceModel, params: dict) -> TaskResult:
     query = _query_from_params(surface, params)
     rows = []
     for curve in enumerate_classes(query):
@@ -285,12 +288,10 @@ def run_enumerate(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[
                 "genus": format_rational(arithmetic_genus(surface, curve)),
             }
         )
-    return rows, set()
+    return rows, set(), 0
 
 
-def run_verify(
-    surface: SurfaceModel, params: dict
-) -> tuple[list[dict], set[str], int]:
+def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
     if "curves" in params:
         curves: Sequence[DivisorClass] = tuple(
             _parse_coords(raw, surface.rank, f"$.params.curves[{i}]")
@@ -311,7 +312,7 @@ def run_verify(
     return rows, rules, len(run.failures)
 
 
-def run_family(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[str]]:
+def run_family(surface: SurfaceModel, params: dict) -> TaskResult:
     if "l" not in params:
         raise ConfigError("params field $.params.l: required for the family task")
     chi = surface.chi
@@ -331,7 +332,17 @@ def run_family(surface: SurfaceModel, params: dict) -> tuple[list[dict], set[str
     for name, value in terms:
         row[f"term_{name}"] = format_rational(value)
     row["bound"] = format_rational(min(value for _, value in terms))
-    return [row], set()
+    return [row], set(), 0
+
+
+# Subcommand name -> (help text, runner), in the order ``--help`` lists them.
+TASKS = {
+    "bound": ("evaluate the blow-up bound for a curve degree", run_bound),
+    "zariski": ("decompose a pseudoeffective divisor", run_zariski),
+    "enumerate": ("list negative curve classes on a plane blow-up", run_enumerate),
+    "verify": ("check the bounds against a batch of curve classes", run_verify),
+    "family": ("evaluate the fibered-family bound", run_family),
+}
 
 
 def _csv_cell(value: Any) -> str:
@@ -362,10 +373,6 @@ def render_json(report: dict) -> str:
 def _table_cell(value: Any) -> str:
     if value is None:
         return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return " ".join(str(v) for v in value)
     if isinstance(value, str) and "/" in value:
         try:
             frac = Fraction(value)
@@ -374,7 +381,7 @@ def _table_cell(value: Any) -> str:
         if frac.denominator == 1:
             return f"{value} ({frac.numerator})"
         return f"{value} (~{approx(frac)})"
-    return str(value)
+    return _csv_cell(value)
 
 
 def render_table(report: dict) -> str:
@@ -420,18 +427,7 @@ def run(config: dict, task: str) -> tuple[dict, int]:
             f"{task!r} subcommand"
         )
     surface = build_surface(config["surface"])
-    params = config.get("params", {})
-    failures = 0
-    if task == "bound":
-        rows, rules = run_bound(surface, params)
-    elif task == "zariski":
-        rows, rules = run_zariski(surface, params)
-    elif task == "enumerate":
-        rows, rules = run_enumerate(surface, params)
-    elif task == "verify":
-        rows, rules, failures = run_verify(surface, params)
-    else:
-        rows, rules = run_family(surface, params)
+    rows, rules, failures = TASKS[task][1](surface, config.get("params", {}))
     report = {
         "surface": describe_surface(surface),
         "task": task,
@@ -459,13 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task, help_text in (
-        ("bound", "evaluate the blow-up bound for a curve degree"),
-        ("zariski", "decompose a pseudoeffective divisor"),
-        ("enumerate", "list negative curve classes on a plane blow-up"),
-        ("verify", "check the bounds against a batch of curve classes"),
-        ("family", "evaluate the fibered-family bound"),
-    ):
+    for task, (help_text, _) in TASKS.items():
         p = sub.add_parser(task, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument(
@@ -501,3 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -120,52 +120,49 @@ def intersect(form: IntersectionForm, a: DivisorClass, b: DivisorClass) -> Fract
     return total
 
 
-def signature(form: IntersectionForm) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of the pairing, exactly.
+def pivots(matrix: Sequence[Sequence[int | Fraction]]) -> list[Fraction]:
+    """Pivots of an exact congruence reduction of a symmetric matrix.
 
-    Works by congruence reduction over the rationals; handles zero diagonals
-    via the hyperbolic substitution e_i -> e_i + e_j, which leaves the
-    signature unchanged.
+    Indices are eliminated in natural order, each time at the first
+    remaining index with a nonzero diagonal entry.  When every remaining
+    diagonal entry is zero, the hyperbolic substitution e_i -> e_i + e_j
+    (which leaves the inertia unchanged) creates one; a null remainder
+    contributes zero pivots.  There is one pivot per row, and by Sylvester's
+    law of inertia their signs count the signature.  While the leading
+    minors are nonzero the k-th pivot is the ratio of the k-th to the
+    (k-1)-th leading minor.
     """
-    n = form.rank
-    m = [[Fraction(x) for x in row] for row in form.gram]
-    active = list(range(n))
-    pos = neg = zero = 0
+    m = [[Fraction(x) for x in row] for row in matrix]
+    active = list(range(len(m)))
+    out: list[Fraction] = []
     while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is None:
-            hyper = None
-            for i in active:
-                for j in active:
-                    if i != j and m[i][j] != 0:
-                        hyper = (i, j)
-                        break
-                if hyper:
-                    break
-            if hyper is None:
-                zero += len(active)
+        p = next((i for i in active if m[i][i] != 0), None)
+        if p is None:
+            pairs = ((i, j) for i in active for j in active if i != j and m[i][j])
+            i, j = next(pairs, (None, None))
+            if i is None:
+                out.extend(Fraction(0) for _ in active)
                 break
-            i, j = hyper
             # e_i -> e_i + e_j makes the (i,i) entry 2*m[i][j] != 0
-            for k in range(n):
+            for k in active:
                 m[i][k] += m[j][k]
-            for k in range(n):
+            for k in active:
                 m[k][i] += m[k][j]
             continue
-        d = m[pivot][pivot]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(pivot)
+        out.append(m[p][p])
+        active.remove(p)
         for i in active:
-            if m[i][pivot] != 0:
-                f = m[i][pivot] / d
-                for k in range(n):
-                    m[i][k] -= f * m[pivot][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][pivot]
-    return pos, neg, zero
+            if m[i][p] != 0:
+                f = m[i][p] / m[p][p]
+                for k in active:
+                    m[i][k] -= f * m[p][k]
+    return out
+
+
+def signature(form: IntersectionForm) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of the pairing, exactly."""
+    signs = [(p > 0) - (p < 0) for p in pivots(form.gram)]
+    return signs.count(1), signs.count(-1), signs.count(0)
 
 
 @dataclass(frozen=True)

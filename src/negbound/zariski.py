@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class
+from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class, pivots
 from .riemann_roch import arithmetic_genus
 
 
@@ -68,27 +68,6 @@ class ZariskiDecomposition:
         return total
 
 
-def _det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with row swaps."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve M x = rhs exactly; M must be nonsingular."""
     n = len(matrix)
@@ -108,9 +87,9 @@ def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> lis
 
 
 def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
-    """Sylvester criterion in exact arithmetic: the k-th leading principal
-    minor must have sign (-1)^k for every k.  The empty matrix counts as
-    negative definite."""
+    """Exact test: every pivot of the congruence reduction (``pivots``) is
+    negative, which by Sylvester's law of inertia is negative definiteness.
+    The empty matrix counts as negative definite."""
     n = len(gram)
     rows = [[Fraction(x) for x in row] for row in gram]
     if any(len(row) != n for row in rows):
@@ -122,18 +101,21 @@ def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
                     f"negative-definiteness needs a symmetric matrix; "
                     f"entry ({i},{j}) = {rows[i][j]} but ({j},{i}) = {rows[j][i]}"
                 )
-    for k in range(1, n + 1):
-        minor = _det([row[:k] for row in rows[:k]])
-        if (minor > 0) != (k % 2 == 0) or minor == 0:
-            return False
-    return True
+    return all(p < 0 for p in pivots(rows))
 
 
 def _gram(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> list[list[Fraction]]:
     return [[surface.dot(a, b) for b in curves] for a in curves]
 
 
-def _check_candidates(surface: SurfaceModel, candidates: CandidateCurveSet) -> None:
+def _check_inputs(
+    surface: SurfaceModel, divisor: DivisorClass, candidates: CandidateCurveSet
+) -> None:
+    """Input checks shared by both decomposition routes."""
+    if divisor.rank != surface.rank:
+        raise LatticeError(
+            f"divisor rank {divisor.rank} does not match surface rank {surface.rank}"
+        )
     for c in candidates.curves:
         if c.rank != surface.rank:
             raise LatticeError(
@@ -145,6 +127,11 @@ def _check_candidates(surface: SurfaceModel, candidates: CandidateCurveSet) -> N
                 f"candidate {format_class(surface.lattice, c)} has arithmetic "
                 f"genus {pa}; candidates must have non-negative integer genus"
             )
+    if surface.dot(divisor, surface.polarization) < 0:
+        raise DecompositionError(
+            "divisor has negative degree against the polarization; "
+            "not pseudoeffective at the lattice level"
+        )
 
 
 def validate_decomposition(
@@ -196,16 +183,7 @@ def zariski_decompose(
     matrix is not negative definite, a non-positive coefficient at the
     fixpoint, or a remainder of negative square.
     """
-    if divisor.rank != surface.rank:
-        raise LatticeError(
-            f"divisor rank {divisor.rank} does not match surface rank {surface.rank}"
-        )
-    _check_candidates(surface, candidates)
-    if surface.dot(divisor, surface.polarization) < 0:
-        raise DecompositionError(
-            "divisor has negative degree against the polarization; "
-            "not pseudoeffective at the lattice level"
-        )
+    _check_inputs(surface, divisor, candidates)
 
     order = candidates.curves
     support_idx: list[int] = []
@@ -269,23 +247,14 @@ def zariski_brute_force(
 
     The subset walk prunes hard: a principal submatrix of a negative-definite
     matrix is negative definite, so supersets of a failed subset are skipped,
-    and for a one-element extension of a good subset only the full
-    determinant's sign needs checking.
+    and for a one-element extension of a good subset only the last pivot
+    of the extended Gram matrix needs checking.
     """
     if len(candidates) > 20:
         raise DecompositionError(
             f"brute-force oracle is limited to 20 candidates, got {len(candidates)}"
         )
-    if divisor.rank != surface.rank:
-        raise LatticeError(
-            f"divisor rank {divisor.rank} does not match surface rank {surface.rank}"
-        )
-    _check_candidates(surface, candidates)
-    if surface.dot(divisor, surface.polarization) < 0:
-        raise DecompositionError(
-            "divisor has negative degree against the polarization; "
-            "not pseudoeffective at the lattice level"
-        )
+    _check_inputs(surface, divisor, candidates)
 
     order = candidates.curves
     full_gram = _gram(surface, order)
@@ -312,12 +281,11 @@ def zariski_brute_force(
         )
 
     def extend(idx: list[int], start: int) -> None:
-        k = len(idx)
         for j in range(start, len(order)):
             ext = idx + [j]
-            minor = _det([[full_gram[a][b] for b in ext] for a in ext])
-            # bordered Sylvester step: idx is already negative definite
-            if minor == 0 or (minor > 0) != ((k + 1) % 2 == 0):
+            # bordered step: idx is already negative definite, so its pivots
+            # are negative and only the last one is new
+            if pivots([[full_gram[a][b] for b in ext] for a in ext])[-1] >= 0:
                 continue
             consider(ext)
             extend(ext, j + 1)

@@ -42,3 +42,35 @@ def random_model(rng: random.Random, max_blowups: int = 6) -> SurfaceModel:
 
 def random_integral_class(rng: random.Random, rank: int, span: int = 5) -> DivisorClass:
     return DivisorClass(tuple(Fraction(rng.randrange(-span, span + 1)) for _ in range(rank)))
+
+
+def det(matrix) -> Fraction:
+    """Exact determinant by Gaussian elimination with row swaps; a route
+    independent of the library's symmetric pivot kernel."""
+    n = len(matrix)
+    a = [list(map(Fraction, row)) for row in matrix]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            result = -result
+        result *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return result
+
+
+def sylvester_negative_definite(gram) -> bool:
+    """Sylvester's criterion: the k-th leading principal minor has sign
+    (-1)^k for every k.  The empty matrix counts as negative definite."""
+    for k in range(1, len(gram) + 1):
+        minor = det([row[:k] for row in gram[:k]])
+        if minor == 0 or (minor > 0) != (k % 2 == 0):
+            return False
+    return True

@@ -36,7 +36,7 @@ from negbound import (
     zariski_decompose,
 )
 from negbound.cli import load_config, run
-from conftest import random_model
+from conftest import random_model, sylvester_negative_definite
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -179,35 +179,13 @@ def test_criterion_5_zariski_oracle_equivalence():
                 gram = [
                     [surface.dot(a, b) for b in fast.support] for a in fast.support
                 ]
-                for k in range(1, len(gram) + 1):  # (3) negative definite
-                    minor = _det([row[:k] for row in gram[:k]])
-                    assert minor != 0 and (minor > 0) == (k % 2 == 0)
+                assert sylvester_negative_definite(gram)  # (3) negative definite
                 for e in fast.support:  # (4) orthogonality
                     assert surface.dot(fast.nef_part, e) == 0
                 for c in candidates.curves:  # (5) nef against candidates
                     assert surface.dot(fast.nef_part, c) >= 0
                 total += 1
         assert total >= 500
-
-
-def _det(matrix):
-    n = len(matrix)
-    a = [list(map(Fraction, row)) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
 
 
 def test_criterion_6_noether_consistency():

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from negbound import (
     BoundInputs,
@@ -22,6 +22,8 @@ from negbound import (
 from negbound.bounds import (
     CASE_K2_GT_N,
     CASE_K2_LE_N,
+    RULE_BLOWUP_CHI_GE1,
+    RULE_BLOWUP_CHI_LT1,
     SURFACE_CASE_ANTIK_EFFECTIVE,
     SURFACE_CASE_BIADJOINT_NONTRIVIAL,
     SURFACE_CASE_BIADJOINT_TRIVIAL,
@@ -128,6 +130,60 @@ def test_dispatcher_picks_by_chi():
     assert blowup_bound(p2_inputs(0, 1)).rule == "blowup_chi_ge1"
     low = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0, c2=0)
     assert blowup_bound(low).rule == "blowup_chi_lt1"
+
+
+def closed_form_terms(i: BoundInputs) -> tuple[str, Fraction, Fraction, Fraction]:
+    """The two blow-up rules as separate closed forms: (rule, upper, lower,
+    unit), with chi >= 1 offsets -3 / a0*d/H^2 and chi < 1 offsets
+    chi - 4 / (a0*d + chi - 1)/H^2."""
+    k2 = i.k2_base - i.n
+    base_unit = Fraction(i.h2 + 1, 2) * k2 - i.a0**2 - 3
+    if i.chi >= 1:
+        return (
+            RULE_BLOWUP_CHI_GE1,
+            Fraction(i.degree + i.a0, 2 * i.a0) * k2 - 3,
+            Fraction(i.degree + 1, 2 * i.a0) * k2 - 3,
+            base_unit + Fraction(i.a0 * i.degree, i.h2),
+        )
+    return (
+        RULE_BLOWUP_CHI_LT1,
+        i.chi + Fraction(i.degree + i.a0, 2 * i.a0) * k2 - 4,
+        i.chi + Fraction(i.degree + 1, 2 * i.a0) * k2 - 4,
+        base_unit + Fraction(i.a0 * i.degree + i.chi - 1, i.h2),
+    )
+
+
+@settings(max_examples=400)
+@given(
+    degree=st.integers(0, 60),
+    a0=st.integers(1, 20),
+    h2=st.integers(1, 30),
+    k2_base=st.integers(-40, 10),
+    n=st.integers(0, 30),
+    chi=st.integers(-6, 4),
+)
+@example(degree=1, a0=3, h2=1, k2_base=9, n=10, chi=1)  # chi >= 1, K^2 <= n
+@example(degree=1, a0=3, h2=1, k2_base=9, n=8, chi=1)  # chi >= 1, K^2 > n
+@example(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)  # chi < 1, K^2 <= n
+@example(degree=5, a0=2, h2=3, k2_base=6, n=2, chi=-1)  # chi < 1, K^2 > n
+def test_blowup_bound_matches_separate_closed_forms(degree, a0, h2, k2_base, n, chi):
+    inputs = BoundInputs(
+        degree=degree, a0=a0, h2=h2, k2_base=k2_base, n=n, chi=chi, c2=12 * chi - k2_base
+    )
+    rule, upper, lower, unit = closed_form_terms(inputs)
+    report = blowup_bound(inputs)
+    assert report.rule == rule
+    assert report.term_unit_pivot == unit
+    if k2_base <= n:
+        assert report.case == CASE_K2_LE_N
+        assert (report.term_pivot_upper, report.term_pivot_lower) == (upper, None)
+        assert report.bound == min(upper, unit)
+    else:
+        assert report.case == CASE_K2_GT_N
+        assert (report.term_pivot_upper, report.term_pivot_lower) == (None, lower)
+        assert report.bound == min(lower, unit)
+    wrapper = blowup_bound_chi_ge1 if chi >= 1 else blowup_bound_chi_lt1
+    assert wrapper(inputs) == report
 
 
 def test_bounds_monotone_nonincreasing_in_n():

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +47,24 @@ def test_shipped_config_output_matches_golden(capsys, config, fmt):
     assert (code, err) == (EXIT_OK, "")
     golden = GOLDEN_CLI / f"{path.stem}.{FORMAT_SUFFIX[fmt]}"
     assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("module", ["negbound", "negbound.cli"])
+def test_module_entry_points_match_main(capsys, module):
+    config = str(REPO / "configs" / "p2_bound.json")
+    code, expected, _ = run_cli(capsys, ["bound", "--config", config])
+    assert code == EXIT_OK
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "bound", "--config", config],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == expected
 
 
 P2_BOUND = {
@@ -278,6 +299,21 @@ def test_non_pseudoeffective_divisor_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["zariski", "--config", config])
     assert code == EXIT_CONFIG
     assert "pseudoeffective" in err
+
+
+def test_enumerate_beyond_eight_points_exits_2(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        {
+            "surface": {"kind": "projective_plane", "n_blowups": 9},
+            "task": "enumerate",
+            "params": {},
+        },
+    )
+    code, out, err = run_cli(capsys, ["enumerate", "--config", config])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "n <= 8" in err
 
 
 def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch):

@@ -145,6 +145,18 @@ def test_signature_is_hyperbolic_for_builtin_models():
         assert signature(s.lattice) == (1, s.rank - 1, 0)
 
 
+@pytest.mark.parametrize(
+    "gram,expected",
+    [
+        (((0, 0), (0, 0)), (0, 0, 2)),  # null form: zero pivots only
+        (((1, 1), (1, 1)), (1, 0, 1)),  # null remainder after one pivot
+        (((0, 1), (1, 0)), (1, 1, 0)),  # zero diagonal: hyperbolic plane
+    ],
+)
+def test_signature_degenerate_and_hyperbolic_forms(gram, expected):
+    assert signature(IntersectionForm(("a", "b"), gram)) == expected
+
+
 def test_intersection_form_rejects_asymmetric_gram():
     with pytest.raises(LatticeError, match="symmetric"):
         IntersectionForm(("a", "b"), ((0, 1), (2, 0)))

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negbound import (
     CandidateCurveSet,
@@ -20,6 +21,7 @@ from negbound import (
     zariski_brute_force,
     zariski_decompose,
 )
+from conftest import sylvester_negative_definite
 
 
 def test_negative_definite_singleton():
@@ -42,6 +44,27 @@ def test_negative_definite_rejects_asymmetric():
 
 def test_negative_definite_empty_matrix():
     assert is_negative_definite([])
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Symmetric integer matrices up to 6x6; a diagonal shift makes a good
+    share of them negative definite, and small entries make singular
+    leading blocks common."""
+    n = draw(st.integers(0, 6))
+    shift = draw(st.integers(0, 12))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+        m[i][i] -= shift
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_int_matrices())
+def test_negative_definite_agrees_with_sylvester_minors(gram):
+    assert is_negative_definite(gram) == sylvester_negative_definite(gram)
 
 
 def test_positive_entry_fails():
