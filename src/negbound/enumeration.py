@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .bounds import BoundReport, evaluate_curve
 from .lattice import DivisorClass, LatticeError, SurfaceModel
-from .riemann_roch import arithmetic_genus
+from .riemann_roch import curve_genus
 from .zariski import CandidateCurveSet
 
 
@@ -180,12 +180,7 @@ def verify_bounds(
     """
     curves = tuple(curves)
     for curve in curves:
-        pa = arithmetic_genus(surface, curve)
-        if pa.denominator != 1 or pa < 0:
-            raise ValueError(
-                f"class with coordinates {tuple(map(str, curve.coords))} has "
-                f"arithmetic genus {pa}; not a curve class"
-            )
+        curve_genus(surface, curve)
     reports = tuple(
         evaluate_curve(surface, curve, pg=pg_map(curve) if pg_map else 0)
         for curve in curves

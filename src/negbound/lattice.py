@@ -39,10 +39,6 @@ class DivisorClass:
     def rank(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def _check_match(self, other: "DivisorClass") -> None:
         if len(self.coords) != len(other.coords):
             raise LatticeError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,19 @@ class GenusData:
             )
 
 
-def genus_data(surface: SurfaceModel, curve: DivisorClass, pg: int = 0) -> GenusData:
-    """Genus pair for a curve class; rejects classes whose adjunction genus
-    is not a non-negative integer (those are not curve classes)."""
+def curve_genus(surface: SurfaceModel, curve: DivisorClass) -> int:
+    """p_a of a curve class; a class whose adjunction genus is not a
+    non-negative integer is not a curve class and is rejected."""
     pa = arithmetic_genus(surface, curve)
     if pa.denominator != 1 or pa < 0:
-        raise ValueError(
-            f"adjunction gives genus {pa}; not a curve class"
-        )
-    return GenusData(pa=int(pa), pg=int(pg))
+        name = format_class(surface.lattice, curve)
+        raise LatticeError(f"{name} has arithmetic genus {pa}; not a curve class")
+    return int(pa)
+
+
+def genus_data(surface: SurfaceModel, curve: DivisorClass, pg: int = 0) -> GenusData:
+    """Genus pair for a curve class (see ``curve_genus``)."""
+    return GenusData(pa=curve_genus(surface, curve), pg=int(pg))
 
 
 def arithmetic_genus(surface: SurfaceModel, curve: DivisorClass) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class, pivots
-from .riemann_roch import arithmetic_genus
+from .riemann_roch import curve_genus
 
 
 class DecompositionError(ValueError):
@@ -44,7 +44,7 @@ class CandidateCurveSet:
         seen = set()
         for c in curves:
             if c.coords in seen:
-                raise LatticeError(f"duplicate candidate class {c.coords}")
+                raise LatticeError(f"duplicate candidate class ({', '.join(map(str, c.coords))})")
             seen.add(c.coords)
 
     def __len__(self) -> int:
@@ -68,22 +68,28 @@ class ZariskiDecomposition:
         return total
 
 
-def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs exactly; M must be nonsingular."""
-    n = len(matrix)
-    a = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DecompositionError("singular orthogonality system")
-        a[col], a[pivot] = a[pivot], a[col]
-        d = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / d
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
+# LDL^T factor of symmetric M: per row, (L left of the unit diagonal, nonzero pivot)
+Factor = tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+
+
+def _border(factor: Factor, column: Sequence[Fraction], diagonal: Fraction) -> Factor:
+    """The factor of M bordered by the row (``column``, ``diagonal``): the new
+    row of L is D^-1 L^-1 column and the new pivot the Schur complement, so a
+    negative-definite M stays so exactly when that pivot is negative."""
+    y: list[Fraction] = []  # L^-1 column, by forward substitution
+    for (row, _), b in zip(factor, column):
+        y.append(b - sum(l * yi for l, yi in zip(row, y)))
+    row = tuple(yi / d for yi, (_, d) in zip(y, factor))
+    return factor + ((row, Fraction(diagonal) - sum(l * yi for l, yi in zip(row, y))),)
+
+
+def _solve(factor: Factor, rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve M x = rhs exactly: border by rhs (D^-1 L^-1 rhs), then apply L^-T."""
+    x = list(_border(factor, rhs, 0)[-1][0])
+    for j in reversed(range(len(x))):
+        for i, l in enumerate(factor[j][0]):
+            x[i] -= l * x[j]
+    return x
 
 
 def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
@@ -121,12 +127,7 @@ def _check_inputs(
             raise LatticeError(
                 f"candidate rank {c.rank} does not match surface rank {surface.rank}"
             )
-        pa = arithmetic_genus(surface, c)
-        if pa.denominator != 1 or pa < 0:
-            raise LatticeError(
-                f"candidate {format_class(surface.lattice, c)} has arithmetic "
-                f"genus {pa}; candidates must have non-negative integer genus"
-            )
+        curve_genus(surface, c)
     if surface.dot(divisor, surface.polarization) < 0:
         raise DecompositionError(
             "divisor has negative degree against the polarization; "
@@ -171,12 +172,12 @@ def zariski_decompose(
 ) -> ZariskiDecomposition:
     """Iterative decomposition by support enlargement.
 
-    Start with empty support S.  Solve the orthogonality system
-    (Gram over S) a = (D.E_i) for the current support, and as long as the
-    remainder P = D - sum a_i E_i is negative against some candidate outside
-    S, add the first such candidate (in stored order) and re-solve.  The
-    support only grows, so at most |candidates| rounds occur; the fixpoint
-    is the unique decomposition, so the scan order does not matter.
+    Start with empty support S.  While the remainder P = D - sum a_i E_i is
+    negative against some candidate outside S, add the first such candidate
+    (in stored order), border the LDL^T factor of the Gram over S by its row,
+    and re-solve (Gram over S) a = (D.E_i) on the factor.  The support only
+    grows, so at most |candidates| rounds occur; the fixpoint is the unique
+    decomposition, so the scan order does not matter.
 
     Rejects with DecompositionError when the input is not pseudoeffective
     relative to the candidate model: D.H < 0 up front, a support whose Gram
@@ -187,6 +188,8 @@ def zariski_decompose(
 
     order = candidates.curves
     support_idx: list[int] = []
+    rhs: list[Fraction] = []
+    factor: Factor = ()
     coeffs: list[Fraction] = []
     for _ in range(len(order) + 1):
         nef = divisor
@@ -199,17 +202,18 @@ def zariski_decompose(
                 break
         if violator is None:
             break
+        column = [surface.dot(order[i], curve) for i in support_idx]
+        factor = _border(factor, column, surface.dot(curve, curve))
         support_idx.append(violator)
-        chosen = [order[i] for i in support_idx]
-        gram = _gram(surface, chosen)
-        if not is_negative_definite(gram):
-            names = ", ".join(format_class(surface.lattice, c) for c in chosen)
+        if factor[-1][1] >= 0:
+            names = ", ".join(format_class(surface.lattice, order[i]) for i in support_idx)
             raise DecompositionError(
                 f"support {{{names}}} has a Gram matrix that is not negative "
                 f"definite; divisor is not pseudoeffective relative to the "
                 f"candidate model"
             )
-        coeffs = _solve(gram, [surface.dot(divisor, c) for c in chosen])
+        rhs.append(surface.dot(divisor, curve))
+        coeffs = _solve(factor, rhs)
     else:  # pragma: no cover - the support strictly grows each round
         raise InvariantError("support enlargement failed to terminate")
 
@@ -261,10 +265,9 @@ def zariski_brute_force(
     rhs_all = [surface.dot(divisor, c) for c in order]
     found: list[ZariskiDecomposition] = []
 
-    def consider(idx: list[int]) -> None:
+    def consider(idx: list[int], factor: Factor) -> None:
         chosen = [order[i] for i in idx]
-        gram = [[full_gram[i][j] for j in idx] for i in idx]
-        coeffs = _solve(gram, [rhs_all[i] for i in idx]) if idx else []
+        coeffs = _solve(factor, [rhs_all[i] for i in idx])
         if any(a <= 0 for a in coeffs):
             return
         nef = divisor
@@ -280,18 +283,18 @@ def zariski_brute_force(
             )
         )
 
-    def extend(idx: list[int], start: int) -> None:
+    def extend(idx: list[int], factor: Factor, start: int) -> None:
         for j in range(start, len(order)):
-            ext = idx + [j]
             # bordered step: idx is already negative definite, so its pivots
             # are negative and only the last one is new
-            if pivots([[full_gram[a][b] for b in ext] for a in ext])[-1] >= 0:
+            ext = _border(factor, [full_gram[i][j] for i in idx], full_gram[j][j])
+            if ext[-1][1] >= 0:
                 continue
-            consider(ext)
-            extend(ext, j + 1)
+            consider(idx + [j], ext)
+            extend(idx + [j], ext, j + 1)
 
-    consider([])
-    extend([], 0)
+    consider([], ())
+    extend([], (), 0)
 
     if not found:
         raise DecompositionError(

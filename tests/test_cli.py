@@ -301,6 +301,22 @@ def test_non_pseudoeffective_divisor_exits_2(tmp_path, capsys):
     assert "pseudoeffective" in err
 
 
+def test_duplicate_candidates_exit_2_with_plain_rationals(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        {
+            "surface": {"kind": "projective_plane", "n_blowups": 2},
+            "task": "zariski",
+            "params": {"divisor": [1, 3, 0], "candidates": [[0, 1, 0], [0, 1, 0]]},
+        },
+    )
+    code, out, err = run_cli(capsys, ["zariski", "--config", config])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "duplicate candidate class (0, 1, 0)" in err
+    assert "Fraction(" not in err
+
+
 def test_enumerate_beyond_eight_points_exits_2(tmp_path, capsys):
     config = write_config(
         tmp_path,

@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negbound import (
+    CandidateCurveSet,
     DivisorClass,
+    LatticeError,
     arithmetic_genus,
     blow_up,
     chi_of_divisor,
+    curve_genus,
+    genus_data,
     intersect,
     projective_plane,
     self_intersection_from_chi,
+    verify_bounds,
+    zariski_decompose,
 )
 from conftest import random_integral_class, random_model
 
@@ -110,3 +116,21 @@ def test_genus_data_validation(p2):
         genus_data(x2, DivisorClass((0, -3, 0)))
     with pytest.raises(ValueError):
         GenusData(pa=1, pg=-1)
+
+
+def test_curve_genus_is_the_one_genus_rule(p2):
+    """Every route that needs a curve class rejects a non-curve class with
+    the same error, naming the class."""
+    x2 = blow_up(p2, 2)
+    assert curve_genus(x2, DivisorClass((1, -1, -1))) == 0
+    assert curve_genus(p2, DivisorClass((4,))) == 3
+    bad = DivisorClass((0, -3, 0))  # p_a = (-9 + 3)/2 + 1 = -2
+    routes = [
+        lambda: curve_genus(x2, bad),
+        lambda: genus_data(x2, bad),
+        lambda: verify_bounds(x2, [bad]),
+        lambda: zariski_decompose(x2, DivisorClass((1, 0, 0)), CandidateCurveSet(curves=(bad,))),
+    ]
+    for route in routes:
+        with pytest.raises(LatticeError, match=r"^-3E1 has arithmetic genus -2; not a curve class$"):
+            route()

@@ -21,7 +21,9 @@ from negbound import (
     zariski_brute_force,
     zariski_decompose,
 )
-from conftest import sylvester_negative_definite
+from negbound.lattice import pivots
+from negbound.zariski import _border, _solve
+from conftest import det, sylvester_negative_definite
 
 
 def test_negative_definite_singleton():
@@ -65,6 +67,24 @@ def symmetric_int_matrices(draw):
 @given(symmetric_int_matrices())
 def test_negative_definite_agrees_with_sylvester_minors(gram):
     assert is_negative_definite(gram) == sylvester_negative_definite(gram)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_int_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+def test_bordered_factor_agrees_with_pivots_and_solves(m, rhs):
+    """Folding ``_border`` over the rows reproduces the congruence pivots on
+    the longest leading block whose leading minors are all nonzero, and
+    ``_solve`` on that factor inverts the block exactly."""
+    k = 0
+    while k < len(m) and det([row[: k + 1] for row in m[: k + 1]]) != 0:
+        k += 1
+    block = [row[:k] for row in m[:k]]
+    factor = ()
+    for i, row in enumerate(block):
+        factor = _border(factor, row[:i], row[i])
+    assert [p for _, p in factor] == pivots(block)
+    x = _solve(factor, rhs[:k])
+    assert [sum(a * xi for a, xi in zip(row, x)) for row in block] == rhs[:k]
 
 
 def test_positive_entry_fails():
@@ -196,3 +216,19 @@ def test_monotone_support_under_candidate_superset(bl2):
     full_support = {e.coords for e in dec_full.support}
     assert small_support <= full_support
     assert dec_small.nef_part.coords == dec_full.nef_part.coords
+
+
+def test_support_that_is_not_negative_definite_is_rejected(bl2):
+    # H-E1-E2 joins first; with E1 the support Gram [[-1, 1], [1, -1]] is
+    # singular, so the bordered pivot is 0
+    cands = CandidateCurveSet(
+        curves=(DivisorClass((0, 1, 0)), DivisorClass((1, -1, -1)), DivisorClass((0, 0, 1)))
+    )
+    d = DivisorClass((0, -3, -3))
+    with pytest.raises(
+        DecompositionError,
+        match=r"^support \{H-E1-E2, E1\} has a Gram matrix that is not negative definite",
+    ):
+        zariski_decompose(bl2, d, cands)
+    with pytest.raises(DecompositionError, match="^no candidate subset yields"):
+        zariski_brute_force(bl2, d, cands)
