@@ -260,24 +260,92 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line" in err
 
 
-def test_schema_violation_exits_2_with_field(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        {"surface": {"kind": "klein_bottle"}, "task": "bound", "params": {"degree": 1}},
-    )
-    code, _, err = run_cli(capsys, ["bound", "--config", config])
-    assert code == EXIT_CONFIG
-    assert "$.surface.kind" in err
+def job(task: str, params: dict, **surface) -> dict:
+    """A job on the plane (or on ``surface["kind"]``) with the given params."""
+    return {
+        "surface": {"kind": "projective_plane", **surface},
+        "task": task,
+        "params": params,
+    }
 
 
-def test_missing_task_param_exits_2(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        {"surface": {"kind": "projective_plane", "n_blowups": 1}, "task": "bound"},
-    )
-    code, _, err = run_cli(capsys, ["bound", "--config", config])
-    assert code == EXIT_CONFIG
-    assert "$.params.degree" in err
+CUSTOM = {
+    "kind": "custom",
+    "basis": ["H", "E1"],
+    "gram": [[1, 0], [0, -1]],
+    "canonical": [-3, 1],
+    "polarization": [1, 0],
+    "chi": 1,
+    "c2": 4,
+}
+BOUND_PARAMS = {"degree": 1}
+
+# One bad config per field rule: (id, config, strings stderr must contain).
+# A missing or unknown field is named by its section and its own name.
+BAD_CONFIGS = [
+    ("not-an-object", [job("bound", BOUND_PARAMS)], ("config field $:",)),
+    ("missing-surface", {"task": "bound", "params": BOUND_PARAMS}, ("$", "surface")),
+    ("missing-task", {"surface": {"kind": "projective_plane"}}, ("$", "task")),
+    (
+        "missing-kind",
+        {"surface": {"n_blowups": 1}, "task": "bound", "params": BOUND_PARAMS},
+        ("$.surface", "kind"),
+    ),
+    ("unknown-top-field", {**job("bound", BOUND_PARAMS), "bogus": 1}, ("$", "bogus")),
+    ("unknown-surface-field", job("bound", BOUND_PARAMS, bogus=1), ("$.surface", "bogus")),
+    ("unknown-params-field", job("bound", {**BOUND_PARAMS, "bogus": 1}), ("$.params", "bogus")),
+    ("unknown-kind", job("bound", BOUND_PARAMS, kind="klein_bottle"), ("$.surface.kind",)),
+    ("hirzebruch-without-e", job("bound", BOUND_PARAMS, kind="hirzebruch"), ("$.surface.e",)),
+    (
+        "ruled-without-twist-degree",
+        job("bound", BOUND_PARAMS, kind="ruled", genus=1),
+        ("$.surface.twist_degree",),
+    ),
+    (
+        "custom-without-c2",
+        job("bound", BOUND_PARAMS, **{k: v for k, v in CUSTOM.items() if k != "c2"}),
+        ("$.surface.c2",),
+    ),
+    ("bound-without-degree", job("bound", {}, n_blowups=1), ("$.params.degree",)),
+    ("zariski-without-divisor", job("zariski", {}, n_blowups=1), ("$.params.divisor",)),
+    ("family-without-l", job("family", {"pg": 0}), ("$.params.l",)),
+    ("n_blowups-below-0", job("bound", BOUND_PARAMS, n_blowups=-1), ("$.surface.n_blowups",)),
+    ("e-below-0", job("bound", BOUND_PARAMS, kind="hirzebruch", e=-1), ("$.surface.e",)),
+    (
+        "genus-below-1",
+        job("bound", BOUND_PARAMS, kind="ruled", genus=0, twist_degree=-1),
+        ("$.surface.genus",),
+    ),
+    ("degree-below-0", job("bound", {"degree": -1}), ("$.params.degree",)),
+    ("pg-below-0", job("bound", {"degree": 1, "pg": -1}), ("$.params.pg",)),
+    ("max_degree-below-1", job("enumerate", {"max_degree": 0}), ("$.params.max_degree",)),
+    ("l-below-1", job("family", {"l": 0}), ("$.params.l",)),
+    ("empty-basis", job("bound", BOUND_PARAMS, **{**CUSTOM, "basis": []}), ("$.surface.basis",)),
+    ("empty-divisor", job("zariski", {"divisor": []}, n_blowups=1), ("$.params.divisor",)),
+    (
+        "candidates-all",
+        job("zariski", {"divisor": [1, 1], "candidates": "all"}, n_blowups=1),
+        ("$.params.candidates",),
+    ),
+    (
+        "gram-row-not-a-list",
+        job("bound", BOUND_PARAMS, **{**CUSTOM, "gram": [[1, 0], 5]}),
+        ("$.surface.gram[1]",),
+    ),
+    ("boolean-degree", job("bound", {"degree": True}), ("$.params.degree",)),
+]
+
+
+@pytest.mark.parametrize(
+    "config,needles", [row[1:] for row in BAD_CONFIGS], ids=[row[0] for row in BAD_CONFIGS]
+)
+def test_bad_config_exits_2_naming_field(tmp_path, capsys, config, needles):
+    task = config.get("task", "bound") if isinstance(config, dict) else "bound"
+    code, out, err = run_cli(capsys, [task, "--config", write_config(tmp_path, config)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ")
+    for needle in needles:
+        assert needle in err
 
 
 def test_task_subcommand_mismatch_exits_2(tmp_path, capsys):
