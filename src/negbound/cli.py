@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``bound``, ``zariski``, ``enumerate``, ``verify``, ``family``.
-Each reads a JSON job configuration (``--config``), validates it against the
-shipped schema, runs the task, and emits a deterministic report as a table,
-CSV, or JSON (``--format``, ``--out``).
+Each reads a JSON job configuration (``--config``), checks it against the
+``FIELDS``, ``SURFACES`` and ``TASKS`` tables below, runs the task, and emits
+a deterministic report as a table, CSV, or JSON (``--format``, ``--out``).
 
 Exit codes: 0 success; 2 configuration or input error; 3 a verify run found
 a bound violation; 4 an internal invariant breach.
@@ -22,10 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
-from typing import Any, Sequence
-
-import jsonschema
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import (
@@ -52,7 +49,7 @@ from .lattice import (
     projective_plane,
     ruled_surface,
 )
-from .rationals import approx, format_rational, to_fraction
+from .rationals import approx, format_rational
 from .riemann_roch import arithmetic_genus
 from .zariski import (
     CandidateCurveSet,
@@ -71,12 +68,8 @@ class ConfigError(ValueError):
     """Configuration file is malformed or incomplete for the chosen task."""
 
 
-def _load_schema() -> dict:
-    with resources.files("negbound").joinpath("config_schema.json").open("rb") as fh:
-        return json.load(fh)
-
-
 def load_config(path: str) -> dict:
+    """Read a job config and check each field in it against ``FIELDS``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -88,44 +81,109 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    try:
-        jsonschema.validate(config, _load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config field {exc.json_path}: {exc.message}") from exc
+    _section(config, "$")
+    _require(config, ("surface", "task"), "$", "every job")
+    _require(config["surface"], ("kind",), "$.surface", "every surface")
     return config
 
 
+def _fail(path: str, message: str) -> NoReturn:
+    raise ConfigError(f"config field {path}: {message}")
+
+
+def _require(section: dict, fields: Iterable[str], path: str, owner: str) -> None:
+    for field in fields:
+        if field not in section:
+            _fail(f"{path}.{field}", f"required for {owner}")
+
+
+# A field check: called with the value and its path, raises ConfigError.
+Check = Callable[[Any, str], None]
+
+
+def _section(value: Any, path: str) -> None:
+    """An object whose fields are each listed, and checked, in FIELDS[path]."""
+    if type(value) is not dict:
+        _fail(path, f"expected an object, got {value!r}")
+    for key, item in value.items():
+        if key not in FIELDS[path]:
+            _fail(f"{path}.{key}", "not an allowed field")
+        FIELDS[path][key](item, f"{path}.{key}")
+
+
+def _integer(minimum: int | None = None) -> Check:
+    def check(value: Any, path: str) -> None:
+        if type(value) is not int:
+            _fail(path, f"expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            _fail(path, f"{value} is less than the minimum of {minimum}")
+    return check
+
+
+def _list_of(item: Check, non_empty: bool = False) -> Check:
+    def check(value: Any, path: str) -> None:
+        if type(value) is not list or (non_empty and not value):
+            _fail(path, f"expected a{' non-empty' if non_empty else ''} list, got {value!r}")
+        for i, entry in enumerate(value):
+            item(entry, f"{path}[{i}]")
+    return check
+
+
+def _choice(names: Iterable[str]) -> Check:
+    def check(value: Any, path: str) -> None:
+        if type(value) is not str or value not in names:
+            _fail(path, f"{value!r} is not one of {', '.join(names)}")
+    return check
+
+
+def _label(value: Any, path: str) -> None:
+    if type(value) is not str:
+        _fail(path, f"expected a string, got {value!r}")
+
+
+def _coordinate(value: Any, path: str) -> None:
+    """An integer, or a string that parses as a rational, such as ``"p/q"``."""
+    try:
+        Fraction(value if type(value) in (int, str) else "")
+    except (ValueError, ZeroDivisionError):
+        _fail(path, f'expected an integer or a "p/q" string, got {value!r}')
+
+
+_integers = _list_of(_integer())
+_coordinates = _list_of(_coordinate, non_empty=True)
+_coordinate_lists = _list_of(_coordinates)
+
+
+def _candidates(value: Any, path: str) -> None:
+    """``"minus_one"`` or a list of coordinate lists."""
+    if value != "minus_one":
+        _coordinate_lists(value, path)
+
+
+def _blown_up(base: Callable[..., SurfaceModel]) -> Callable[..., SurfaceModel]:
+    def build(*fields: Any, n_blowups: int) -> SurfaceModel:
+        surface = base(*fields)
+        return blow_up(surface, n_blowups) if n_blowups else surface
+    return build
+
+
+# Surface kind -> (required $.surface fields, constructor taking them plus
+# n_blowups).  The plane, Hirzebruch and ruled kinds are blown up at n_blowups
+# further points; a custom basis lists its exceptional classes already, so
+# there n_blowups only says how many trailing classes they are.
+SURFACES = {
+    "projective_plane": ((), _blown_up(projective_plane)),
+    "hirzebruch": (("e",), _blown_up(hirzebruch)),
+    "ruled": (("genus", "twist_degree"), _blown_up(ruled_surface)),
+    "custom": (("basis", "gram", "canonical", "polarization", "chi", "c2"), custom_surface),
+}
+
+
 def build_surface(surface_cfg: dict) -> SurfaceModel:
-    kind = surface_cfg["kind"]
-    if kind == "projective_plane":
-        surface = projective_plane()
-    elif kind == "hirzebruch":
-        if "e" not in surface_cfg:
-            raise ConfigError("surface field $.surface.e: required for hirzebruch")
-        surface = hirzebruch(surface_cfg["e"])
-    elif kind == "ruled":
-        for field in ("genus", "twist_degree"):
-            if field not in surface_cfg:
-                raise ConfigError(f"surface field $.surface.{field}: required for ruled")
-        surface = ruled_surface(surface_cfg["genus"], surface_cfg["twist_degree"])
-    else:
-        for field in ("basis", "gram", "canonical", "polarization", "chi", "c2"):
-            if field not in surface_cfg:
-                raise ConfigError(f"surface field $.surface.{field}: required for custom")
-        surface = custom_surface(
-            basis_labels=surface_cfg["basis"],
-            gram=surface_cfg["gram"],
-            canonical=surface_cfg["canonical"],
-            polarization=surface_cfg["polarization"],
-            chi=surface_cfg["chi"],
-            c2=surface_cfg["c2"],
-            n_blowups=surface_cfg.get("n_blowups", 0),
-        )
-        return surface
-    extra = surface_cfg.get("n_blowups", 0)
-    if extra:
-        surface = blow_up(surface, extra)
-    return surface
+    required, make = SURFACES[surface_cfg["kind"]]
+    _require(surface_cfg, required, "$.surface", surface_cfg["kind"])
+    fields = (surface_cfg[field] for field in required)
+    return make(*fields, n_blowups=surface_cfg.get("n_blowups", 0))
 
 
 def describe_surface(surface: SurfaceModel) -> dict:
@@ -203,25 +261,18 @@ TaskResult = tuple[list[dict], set[str], int]
 
 
 def run_bound(surface: SurfaceModel, params: dict) -> TaskResult:
-    if "degree" not in params:
-        raise ConfigError("params field $.params.degree: required for the bound task")
     inputs = inputs_for_degree(surface, params["degree"], pg=params.get("pg", 0))
     report = blowup_bound(inputs)
     return [_bound_row(report, inputs.degree, inputs.n)], {report.rule}, 0
 
 
 def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorClass:
-    coords = tuple(to_fraction(v) for v in raw)
-    if len(coords) != rank:
-        raise ConfigError(
-            f"params field {where}: expected {rank} coordinates, got {len(coords)}"
-        )
-    return DivisorClass(coords)
+    if len(raw) != rank:
+        _fail(where, f"expected {rank} coordinates, got {len(raw)}")
+    return DivisorClass(tuple(raw))
 
 
 def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
-    if "divisor" not in params:
-        raise ConfigError("params field $.params.divisor: required for the zariski task")
     divisor = _parse_coords(params["divisor"], surface.rank, "$.params.divisor")
     candidate_cfg = params.get("candidates", "minus_one")
     if candidate_cfg == "minus_one":
@@ -266,10 +317,7 @@ def _query_from_params(surface: SurfaceModel, params: dict) -> CurveClassQuery:
         )
     if (self_int, k_degree) == (-1, -1):
         return minus_one_query(surface)
-    raise ConfigError(
-        "params field $.params.max_degree: required unless the query is "
-        "the standard (-1, -1) search"
-    )
+    _fail("$.params.max_degree", "required unless the query is the standard (-1, -1) search")
 
 
 def run_enumerate(surface: SurfaceModel, params: dict) -> TaskResult:
@@ -313,18 +361,12 @@ def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
 
 
 def run_family(surface: SurfaceModel, params: dict) -> TaskResult:
-    if "l" not in params:
-        raise ConfigError("params field $.params.l: required for the family task")
     chi = surface.chi
-    k2 = surface.k2
-    if k2.denominator != 1:
-        raise ConfigError("fiber K^2 must be an integer")
-    terms = family_bound_terms(
-        chi, int(k2), surface.c2, params["l"], params.get("pg", 0)
-    )
+    k2 = int(surface.k2)
+    terms = family_bound_terms(chi, k2, surface.c2, params["l"], params.get("pg", 0))
     row: dict[str, Any] = {
         "chi": chi,
-        "k2": int(k2),
+        "k2": k2,
         "c2": surface.c2,
         "l": params["l"],
         "pg": params.get("pg", 0),
@@ -335,13 +377,42 @@ def run_family(surface: SurfaceModel, params: dict) -> TaskResult:
     return [row], set(), 0
 
 
-# Subcommand name -> (help text, runner), in the order ``--help`` lists them.
+# Subcommand -> (help text, required $.params fields, runner), in --help order.
 TASKS = {
-    "bound": ("evaluate the blow-up bound for a curve degree", run_bound),
-    "zariski": ("decompose a pseudoeffective divisor", run_zariski),
-    "enumerate": ("list negative curve classes on a plane blow-up", run_enumerate),
-    "verify": ("check the bounds against a batch of curve classes", run_verify),
-    "family": ("evaluate the fibered-family bound", run_family),
+    "bound": ("evaluate the blow-up bound for a curve degree", ("degree",), run_bound),
+    "zariski": ("decompose a pseudoeffective divisor", ("divisor",), run_zariski),
+    "enumerate": ("list negative curve classes on a plane blow-up", (), run_enumerate),
+    "verify": ("check the bounds against a batch of curve classes", (), run_verify),
+    "family": ("evaluate the fibered-family bound", ("l",), run_family),
+}
+
+# Section path -> {allowed field: its check}.
+FIELDS: dict[str, dict[str, Check]] = {
+    "$": {"surface": _section, "task": _choice(TASKS), "params": _section},
+    "$.surface": {
+        "kind": _choice(SURFACES),
+        "n_blowups": _integer(0),
+        "e": _integer(0),
+        "genus": _integer(1),
+        "twist_degree": _integer(),
+        "basis": _list_of(_label, non_empty=True),
+        "gram": _list_of(_integers),
+        "canonical": _integers,
+        "polarization": _integers,
+        "chi": _integer(),
+        "c2": _integer(),
+    },
+    "$.params": {
+        "degree": _integer(0),
+        "pg": _integer(0),
+        "divisor": _coordinates,
+        "candidates": _candidates,
+        "self_intersection": _integer(),
+        "canonical_degree": _integer(),
+        "max_degree": _integer(1),
+        "curves": _coordinate_lists,
+        "l": _integer(1),
+    },
 }
 
 
@@ -422,12 +493,12 @@ def render_table(report: dict) -> str:
 def run(config: dict, task: str) -> tuple[dict, int]:
     """Execute a validated job config; returns (report, failure_count)."""
     if config["task"] != task:
-        raise ConfigError(
-            f"config field $.task: {config['task']!r} does not match the "
-            f"{task!r} subcommand"
-        )
+        _fail("$.task", f"{config['task']!r} does not match the {task!r} subcommand")
     surface = build_surface(config["surface"])
-    rows, rules, failures = TASKS[task][1](surface, config.get("params", {}))
+    _, required, runner = TASKS[task]
+    params = config.get("params", {})
+    _require(params, required, "$.params", f"the {task} task")
+    rows, rules, failures = runner(surface, params)
     report = {
         "surface": describe_surface(surface),
         "task": task,
@@ -455,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task, (help_text, _) in TASKS.items():
+    for task, (help_text, _, _) in TASKS.items():
         p = sub.add_parser(task, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument(

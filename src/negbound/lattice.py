@@ -308,9 +308,12 @@ def custom_surface(
     c2: int,
     n_blowups: int = 0,
 ) -> SurfaceModel:
-    """A user-supplied model.  Noether's identity is still enforced."""
+    """A user-supplied model.  Besides Noether's identity, the lattice must
+    be one that a smooth projective surface can carry: the Hodge index
+    theorem gives the form signature (1, r-1, 0), and adjunction makes
+    D^2 + K.D even for every integral class D (Wu's formula)."""
     form = IntersectionForm(tuple(basis_labels), tuple(tuple(row) for row in gram))
-    return SurfaceModel(
+    surface = SurfaceModel(
         lattice=form,
         canonical=DivisorClass(tuple(canonical)),
         polarization=DivisorClass(tuple(polarization)),
@@ -319,6 +322,14 @@ def custom_surface(
         n_blowups=int(n_blowups),
         kind="custom",
     )
+    hodge = (1, form.rank - 1, 0)
+    if signature(form) != hodge:
+        raise LatticeError(f"Gram matrix has signature {signature(form)}; Hodge index needs {hodge}")
+    for i, label in enumerate(form.basis_labels):
+        parity = form.gram[i][i] + surface.dot(surface.canonical, form.basis_class(i))
+        if parity % 2:
+            raise LatticeError(f"{label}^2 + K.{label} = {parity}, but adjunction needs it even")
+    return surface
 
 
 def blow_up(surface: SurfaceModel, k: int = 1) -> SurfaceModel:

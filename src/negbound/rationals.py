@@ -10,20 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def to_fraction(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or ``p/q``-style string to an exact Fraction."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
-
-
 def format_rational(value: int | Fraction) -> str:
     """Canonical ``p/q`` form, lowest terms, q > 0, denominator always printed."""
     f = Fraction(value)

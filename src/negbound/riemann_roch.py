@@ -36,13 +36,17 @@ class GenusData:
 
 
 def curve_genus(surface: SurfaceModel, curve: DivisorClass) -> int:
-    """p_a of a curve class; a class whose adjunction genus is not a
-    non-negative integer is not a curve class and is rejected."""
+    """p_a of a curve class; a class with a non-integer coordinate, or whose
+    adjunction genus is not a non-negative integer, is not a curve class
+    and is rejected."""
     pa = arithmetic_genus(surface, curve)
-    if pa.denominator != 1 or pa < 0:
-        name = format_class(surface.lattice, curve)
-        raise LatticeError(f"{name} has arithmetic genus {pa}; not a curve class")
-    return int(pa)
+    if any(c.denominator != 1 for c in curve.coords):
+        reason = "a non-integer coordinate"
+    elif pa.denominator != 1 or pa < 0:
+        reason = f"arithmetic genus {pa}"
+    else:
+        return int(pa)
+    raise LatticeError(f"{format_class(surface.lattice, curve)} has {reason}; not a curve class")
 
 
 def genus_data(surface: SurfaceModel, curve: DivisorClass, pg: int = 0) -> GenusData:

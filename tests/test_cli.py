@@ -306,7 +306,11 @@ BAD_CONFIGS = [
         job("bound", BOUND_PARAMS, **{k: v for k, v in CUSTOM.items() if k != "c2"}),
         ("$.surface.c2",),
     ),
-    ("bound-without-degree", job("bound", {}, n_blowups=1), ("$.params.degree",)),
+    (
+        "bound-without-degree",
+        {"surface": {"kind": "projective_plane", "n_blowups": 1}, "task": "bound"},
+        ("$.params.degree",),
+    ),
     ("zariski-without-divisor", job("zariski", {}, n_blowups=1), ("$.params.divisor",)),
     ("family-without-l", job("family", {"pg": 0}), ("$.params.l",)),
     ("n_blowups-below-0", job("bound", BOUND_PARAMS, n_blowups=-1), ("$.surface.n_blowups",)),
@@ -333,6 +337,8 @@ BAD_CONFIGS = [
         ("$.surface.gram[1]",),
     ),
     ("boolean-degree", job("bound", {"degree": True}), ("$.params.degree",)),
+    ("float-l", job("family", {"l": 10.0}), ("$.params.l",)),
+    ("float-n_blowups", job("bound", BOUND_PARAMS, n_blowups=2.0), ("$.surface.n_blowups",)),
 ]
 
 
@@ -346,6 +352,54 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, config, needles):
     assert err.startswith("error: ")
     for needle in needles:
         assert needle in err
+
+
+@pytest.mark.parametrize(
+    "config,needle",
+    [
+        # (H+E1)/2 has arithmetic genus 0 but is no integral class
+        (
+            job("zariski", {"divisor": [1, 1], "candidates": [["1/2", "1/2"], [0, 1]]}, n_blowups=1),
+            "1/2H+1/2E1 has a non-integer coordinate",
+        ),
+        (
+            job("bound", BOUND_PARAMS, **{**CUSTOM, "gram": [[1, 0], [0, 1]], "c2": 2}),
+            "signature (2, 0, 0)",
+        ),
+        (
+            job(
+                "bound",
+                BOUND_PARAMS,
+                **{**CUSTOM, "basis": ["H"], "gram": [[1]], "canonical": [-2], "polarization": [1], "c2": 8},
+            ),
+            "H^2 + K.H = -1",
+        ),
+    ],
+    ids=["fractional-candidate", "definite-gram", "odd-adjunction"],
+)
+def test_class_or_lattice_no_surface_has_exits_2(tmp_path, capsys, config, needle):
+    code, out, err = run_cli(capsys, [config["task"], "--config", write_config(tmp_path, config)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert needle in err
+
+
+def test_cli_imports_only_the_standard_library():
+    """The runtime needs nothing beyond the standard library."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; before = set(sys.modules); import negbound.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    roots = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "negbound" in roots
+    assert roots - {"negbound"} <= sys.stdlib_module_names
 
 
 def test_task_subcommand_mismatch_exits_2(tmp_path, capsys):

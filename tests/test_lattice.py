@@ -143,6 +143,13 @@ def test_signature_is_hyperbolic_for_builtin_models():
     ] + [random_model(rng) for _ in range(20)]
     for s in models:
         assert signature(s.lattice) == (1, s.rank - 1, 0)
+        # so every built-in model passes custom_surface's lattice checks
+        lat = s.lattice
+        custom = custom_surface(
+            lat.basis_labels, lat.gram, s.canonical.coords, s.polarization.coords,
+            s.chi, s.c2, s.n_blowups,
+        )
+        assert custom.k2 == s.k2
 
 
 @pytest.mark.parametrize(
@@ -165,6 +172,24 @@ def test_intersection_form_rejects_asymmetric_gram():
 def test_custom_surface_enforces_noether():
     with pytest.raises(LatticeError, match="Noether"):
         custom_surface(("H",), ((1,),), (-3,), (1,), chi=2, c2=3)
+
+
+@pytest.mark.parametrize(
+    "gram,canonical,c2,message",
+    [
+        # Noether holds (K^2 = 10 - 0 = 10, 12 = 10 + 2) but the form is definite
+        (((1, 0), (0, 1)), (-3, 1), 2, r"signature \(2, 0, 0\).*\(1, 1, 0\)"),
+        # Noether holds (K^2 = 4, 12 = 4 + 8) but H^2 + K.H = -1
+        (((1,),), (-2,), 8, r"^H\^2 \+ K\.H = -1, but adjunction needs it even$"),
+    ],
+    ids=["definite-gram", "odd-adjunction"],
+)
+def test_custom_surface_rejects_lattices_no_surface_has(gram, canonical, c2, message):
+    labels = ("H", "E1")[: len(gram)]
+    with pytest.raises(LatticeError, match=message):
+        custom_surface(labels, gram, canonical, (1,) + (0,) * (len(gram) - 1), chi=1, c2=c2)
+    # the blown-up plane, the lattice the probes perturb, is accepted
+    custom_surface(("H", "E1"), ((1, 0), (0, -1)), (-3, 1), (1, 0), chi=1, c2=4)
 
 
 def test_format_class(p2):

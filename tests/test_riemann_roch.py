@@ -124,13 +124,22 @@ def test_curve_genus_is_the_one_genus_rule(p2):
     x2 = blow_up(p2, 2)
     assert curve_genus(x2, DivisorClass((1, -1, -1))) == 0
     assert curve_genus(p2, DivisorClass((4,))) == 3
-    bad = DivisorClass((0, -3, 0))  # p_a = (-9 + 3)/2 + 1 = -2
-    routes = [
-        lambda: curve_genus(x2, bad),
-        lambda: genus_data(x2, bad),
-        lambda: verify_bounds(x2, [bad]),
-        lambda: zariski_decompose(x2, DivisorClass((1, 0, 0)), CandidateCurveSet(curves=(bad,))),
+    rejected = [
+        # p_a = (-9 + 3)/2 + 1 = -2
+        (DivisorClass((0, -3, 0)), r"^-3E1 has arithmetic genus -2; not a curve class$"),
+        # (H+E1)/2 has p_a = 0, so only its coordinates give it away
+        (
+            DivisorClass((Fraction(1, 2), Fraction(1, 2), 0)),
+            r"^1/2H\+1/2E1 has a non-integer coordinate; not a curve class$",
+        ),
     ]
-    for route in routes:
-        with pytest.raises(LatticeError, match=r"^-3E1 has arithmetic genus -2; not a curve class$"):
-            route()
+    for bad, message in rejected:
+        routes = [
+            lambda: curve_genus(x2, bad),
+            lambda: genus_data(x2, bad),
+            lambda: verify_bounds(x2, [bad]),
+            lambda: zariski_decompose(x2, DivisorClass((1, 0, 0)), CandidateCurveSet(curves=(bad,))),
+        ]
+        for route in routes:
+            with pytest.raises(LatticeError, match=message):
+                route()
