@@ -66,8 +66,7 @@ class BoundInputs:
     """Numerical inputs for the bound evaluators.
 
     ``degree`` is C.H, ``k2_base`` is K^2 of the un-blown-up base surface,
-    ``n`` the number of blown-up points.  ``pg`` (geometric genus) is
-    user-supplied where a formula needs it; the library never infers it.
+    ``n`` the number of blown-up points.
     """
 
     degree: int
@@ -77,7 +76,6 @@ class BoundInputs:
     n: int
     chi: int
     c2: int
-    pg: int = 0
 
     def __post_init__(self) -> None:
         if self.a0 < 1:
@@ -88,8 +86,6 @@ class BoundInputs:
             raise ValueError(f"degree C.H must be non-negative, got {self.degree}")
         if self.n < 0:
             raise ValueError(f"blow-up count must be non-negative, got {self.n}")
-        if self.pg < 0:
-            raise ValueError(f"geometric genus must be non-negative, got {self.pg}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def _require_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def inputs_for_degree(surface: SurfaceModel, degree: int, pg: int = 0) -> BoundInputs:
+def inputs_for_degree(surface: SurfaceModel, degree: int) -> BoundInputs:
     """Assemble BoundInputs from a surface model and a curve degree C.H."""
     return BoundInputs(
         degree=int(degree),
@@ -130,15 +126,12 @@ def inputs_for_degree(surface: SurfaceModel, degree: int, pg: int = 0) -> BoundI
         n=surface.n_blowups,
         chi=surface.chi,
         c2=surface.c2,
-        pg=int(pg),
     )
 
 
-def inputs_for_curve(
-    surface: SurfaceModel, curve: DivisorClass, pg: int = 0
-) -> BoundInputs:
+def inputs_for_curve(surface: SurfaceModel, curve: DivisorClass) -> BoundInputs:
     degree = _require_int(surface.dot(curve, surface.polarization), "degree C.H")
-    return inputs_for_degree(surface, degree, pg=pg)
+    return inputs_for_degree(surface, degree)
 
 
 def blowup_bound(inputs: BoundInputs) -> BoundReport:
@@ -196,12 +189,10 @@ def blowup_bound_chi_lt1(inputs: BoundInputs) -> BoundReport:
     return blowup_bound(inputs)
 
 
-def evaluate_curve(
-    surface: SurfaceModel, curve: DivisorClass, pg: int = 0
-) -> BoundReport:
+def evaluate_curve(surface: SurfaceModel, curve: DivisorClass) -> BoundReport:
     """Evaluate the blow-up bound for a concrete curve class and record the
     witnessed self-intersection and whether the bound is satisfied."""
-    report = blowup_bound(inputs_for_curve(surface, curve, pg=pg))
+    report = blowup_bound(inputs_for_curve(surface, curve))
     witnessed = _require_int(surface.dot(curve, curve), "C^2")
     return replace(report, witnessed_c2=witnessed, satisfied=witnessed >= report.bound)
 

@@ -5,8 +5,9 @@ Each reads a JSON job configuration (``--config``), checks it against the
 ``FIELDS``, ``SURFACES`` and ``TASKS`` tables below, runs the task, and emits
 a deterministic report as a table, CSV, or JSON (``--format``, ``--out``).
 
-Exit codes: 0 success; 2 configuration or input error; 3 a verify run found
-a bound violation; 4 an internal invariant breach.
+Exit codes: 0 success; 2 configuration or input error, or an unwritable
+``--out`` file; 3 a verify run found a bound violation; 4 an internal
+invariant breach.
 
 Rationals are emitted as canonical ``p/q`` strings in CSV and JSON, and as
 ``p/q`` plus a decimal approximation in table mode.  JSON reports are a
@@ -261,7 +262,7 @@ TaskResult = tuple[list[dict], set[str], int]
 
 
 def run_bound(surface: SurfaceModel, params: dict) -> TaskResult:
-    inputs = inputs_for_degree(surface, params["degree"], pg=params.get("pg", 0))
+    inputs = inputs_for_degree(surface, params["degree"])
     report = blowup_bound(inputs)
     return [_bound_row(report, inputs.degree, inputs.n)], {report.rule}, 0
 
@@ -347,7 +348,7 @@ def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
         )
     else:
         curves = enumerate_classes(_query_from_params(surface, params))
-    run = verify_bounds(surface, curves, pg_map=None)
+    run = verify_bounds(surface, curves)
     rows = []
     rules: set[str] = set()
     for curve, report in zip(run.curves, run.reports):
@@ -511,9 +512,12 @@ def run(config: dict, task: str) -> tuple[dict, int]:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report file {out!r}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bounds import BoundReport, evaluate_curve
 from .lattice import DivisorClass, LatticeError, SurfaceModel
@@ -53,16 +53,13 @@ def minus_one_degree_cutoff(n: int) -> int:
 
     Such a class has sum(m_i) = 3d - 1 and sum(m_i^2) = d^2 + 1, so
     Cauchy-Schwarz over the n multiplicities forces
-    (3d - 1)^2 <= n*(d^2 + 1).  For n = 8 this gives d <= 7; smaller n
-    give smaller cutoffs.
+    (3d - 1)^2 <= n*(d^2 + 1), i.e. (9 - n)d^2 - 6d + 1 - n <= 0, whose
+    larger root is (3 + sqrt(n(10 - n)))/(9 - n).  For n = 8 this gives
+    d <= 7; smaller n give smaller cutoffs, never below 1.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"cutoff is only meaningful for 1 <= n <= 8, got {n}")
-    best = 1
-    for d in range(1, 101):
-        if (3 * d - 1) ** 2 <= n * (d * d + 1):
-            best = d
-    return best
+    return max(1, (3 + isqrt(n * (10 - n))) // (9 - n))
 
 
 def _check_plane_blowup(surface: SurfaceModel) -> int:
@@ -101,16 +98,20 @@ def enumerate_classes(query: CurveClassQuery) -> tuple[DivisorClass, ...]:
     """All classes C = dH - sum(m_i E_i), 0 <= d <= max_degree, m_i >= 0,
     with C^2 = self_int and K.C = canonical_degree, plus the pure exceptional
     classes E_i when they match the targets.  Deterministic: sorted by
-    coordinate vector, duplicate-free."""
+    coordinate vector, duplicate-free.  The (-1, -1) query stops at
+    ``minus_one_degree_cutoff``, past which it has no classes."""
     surface = query.surface
     n = _check_plane_blowup(surface)
     found: list[tuple[Fraction, ...]] = []
+    top = query.max_degree
 
     if query.self_int == -1 and query.canonical_degree == -1:
         for e in surface.exceptional_classes():
             found.append(e.coords)
+        if n:
+            top = min(top, minus_one_degree_cutoff(n))
 
-    for d in range(0, query.max_degree + 1):
+    for d in range(0, top + 1):
         total = 3 * d + query.canonical_degree  # sum of multiplicities
         sq_total = d * d - query.self_int  # sum of squared multiplicities
         if total < 0 or sq_total < 0:
@@ -165,26 +166,17 @@ def spot_check_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     return tuple(classes)
 
 
-def verify_bounds(
-    surface: SurfaceModel,
-    curves: Sequence[DivisorClass],
-    pg_map: Callable[[DivisorClass], int] | None = None,
-) -> VerificationRun:
+def verify_bounds(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> VerificationRun:
     """Evaluate the chi-appropriate blow-up bound on every class and record
     which classes (if any) fall below it.  Violations are data, not errors.
 
     Every class must have non-negative integer arithmetic genus; anything
-    else is not a curve class and is rejected.  ``pg_map`` supplies geometric
-    genera where a caller wants them recorded; it defaults to 0, the correct
-    value for (-1)-classes.
+    else is not a curve class and is rejected.
     """
     curves = tuple(curves)
     for curve in curves:
         curve_genus(surface, curve)
-    reports = tuple(
-        evaluate_curve(surface, curve, pg=pg_map(curve) if pg_map else 0)
-        for curve in curves
-    )
+    reports = tuple(evaluate_curve(surface, curve) for curve in curves)
     failures = tuple(i for i, report in enumerate(reports) if not report.satisfied)
     return VerificationRun(
         surface=surface, curves=curves, reports=reports, failures=failures

@@ -8,7 +8,11 @@ indistinguishable at this level; every quantity served by this package
 depends only on the lattice and the blow-up count n.
 
 All arithmetic is exact.  Coordinates are `fractions.Fraction`, the Gram
-matrix has integer entries, and no floating point is used anywhere.
+matrix has integer entries, and no floating point is used anywhere.  The
+one elimination kernel lives here: a bordered LDL^T factor (``_border``)
+that grows by one row at a time.  It decides negative definiteness, backs
+the Hodge index check of ``custom_surface``, and serves the Zariski
+decomposition's support Gram.
 """
 
 from __future__ import annotations
@@ -116,49 +120,42 @@ def intersect(form: IntersectionForm, a: DivisorClass, b: DivisorClass) -> Fract
     return total
 
 
-def pivots(matrix: Sequence[Sequence[int | Fraction]]) -> list[Fraction]:
-    """Pivots of an exact congruence reduction of a symmetric matrix.
-
-    Indices are eliminated in natural order, each time at the first
-    remaining index with a nonzero diagonal entry.  When every remaining
-    diagonal entry is zero, the hyperbolic substitution e_i -> e_i + e_j
-    (which leaves the inertia unchanged) creates one; a null remainder
-    contributes zero pivots.  There is one pivot per row, and by Sylvester's
-    law of inertia their signs count the signature.  While the leading
-    minors are nonzero the k-th pivot is the ratio of the k-th to the
-    (k-1)-th leading minor.
-    """
-    m = [[Fraction(x) for x in row] for row in matrix]
-    active = list(range(len(m)))
-    out: list[Fraction] = []
-    while active:
-        p = next((i for i in active if m[i][i] != 0), None)
-        if p is None:
-            pairs = ((i, j) for i in active for j in active if i != j and m[i][j])
-            i, j = next(pairs, (None, None))
-            if i is None:
-                out.extend(Fraction(0) for _ in active)
-                break
-            # e_i -> e_i + e_j makes the (i,i) entry 2*m[i][j] != 0
-            for k in active:
-                m[i][k] += m[j][k]
-            for k in active:
-                m[k][i] += m[k][j]
-            continue
-        out.append(m[p][p])
-        active.remove(p)
-        for i in active:
-            if m[i][p] != 0:
-                f = m[i][p] / m[p][p]
-                for k in active:
-                    m[i][k] -= f * m[p][k]
-    return out
+# LDL^T factor of symmetric M: per row, (L left of the unit diagonal, nonzero pivot)
+Factor = tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
 
-def signature(form: IntersectionForm) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of the pairing, exactly."""
-    signs = [(p > 0) - (p < 0) for p in pivots(form.gram)]
-    return signs.count(1), signs.count(-1), signs.count(0)
+def _border(factor: Factor, column: Sequence[Fraction], diagonal: Fraction) -> Factor:
+    """The factor of M bordered by the row (``column``, ``diagonal``): the new
+    row of L is D^-1 L^-1 column and the new pivot the Schur complement, so a
+    negative-definite M stays so exactly when that pivot is negative."""
+    y: list[Fraction] = []  # L^-1 column, by forward substitution
+    for (row, _), b in zip(factor, column):
+        y.append(b - sum(l * yi for l, yi in zip(row, y) if l and yi))
+    row = tuple(yi / d for yi, (_, d) in zip(y, factor))
+    return factor + ((row, Fraction(diagonal) - sum(l * yi for l, yi in zip(row, y) if yi)),)
+
+
+def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
+    """Exact test: border the LDL^T factor row by row and stop at the first
+    pivot >= 0.  By Sylvester's law of inertia, all pivots negative is
+    negative definiteness.  The empty matrix counts as negative definite."""
+    n = len(gram)
+    rows = [[Fraction(x) for x in row] for row in gram]
+    if any(len(row) != n for row in rows):
+        raise LatticeError("negative-definiteness needs a square matrix")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise LatticeError(
+                    f"negative-definiteness needs a symmetric matrix; "
+                    f"entry ({i},{j}) = {rows[i][j]} but ({j},{i}) = {rows[j][i]}"
+                )
+    factor: Factor = ()
+    for i, row in enumerate(rows):
+        factor = _border(factor, row[:i], row[i])
+        if factor[-1][1] >= 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -309,9 +306,14 @@ def custom_surface(
     n_blowups: int = 0,
 ) -> SurfaceModel:
     """A user-supplied model.  Besides Noether's identity, the lattice must
-    be one that a smooth projective surface can carry: the Hodge index
-    theorem gives the form signature (1, r-1, 0), and adjunction makes
-    D^2 + K.D even for every integral class D (Wu's formula)."""
+    be one that a smooth projective surface with ample polarization H can
+    carry.  The Hodge index theorem gives the form signature (1, r-1, 0);
+    by Sylvester's law of inertia that is H^2 > 0 and H^perp negative
+    definite, checked on the integer Gram H^2 (e_i.e_j) - (e_i.H)(e_j.H)
+    over the basis without one index where H is nonzero.  Adjunction makes
+    D^2 + K.D even for every integral class D (Wu's formula).  The trailing
+    ``n_blowups`` basis classes are the exceptional classes: E^2 = K.E = -1,
+    mutually orthogonal."""
     form = IntersectionForm(tuple(basis_labels), tuple(tuple(row) for row in gram))
     surface = SurfaceModel(
         lattice=form,
@@ -322,13 +324,36 @@ def custom_surface(
         n_blowups=int(n_blowups),
         kind="custom",
     )
-    hodge = (1, form.rank - 1, 0)
-    if signature(form) != hodge:
-        raise LatticeError(f"Gram matrix has signature {signature(form)}; Hodge index needs {hodge}")
-    for i, label in enumerate(form.basis_labels):
-        parity = form.gram[i][i] + surface.dot(surface.canonical, form.basis_class(i))
-        if parity % 2:
-            raise LatticeError(f"{label}^2 + K.{label} = {parity}, but adjunction needs it even")
+    g, h, h2 = form.gram, surface.polarization, surface.h2
+    if h2 <= 0:
+        raise LatticeError(
+            f"polarization {format_class(form, h)} has H^2 = {h2}; Hodge index needs H^2 > 0"
+        )
+    basis = [form.basis_class(i) for i in range(form.rank)]
+    eh = [surface.dot(e, h) for e in basis]
+    k = next(i for i, c in enumerate(h.coords) if c)  # H != 0 since H^2 > 0
+    rest = [i for i in range(form.rank) if i != k]
+    if not is_negative_definite([[h2 * g[i][j] - eh[i] * eh[j] for j in rest] for i in rest]):
+        raise LatticeError(
+            f"Hodge index needs signature (1, {form.rank - 1}, 0), but the complement "
+            f"of the polarization {format_class(form, h)} is not negative definite"
+        )
+    first = form.rank - surface.n_blowups
+    for i, (label, e) in enumerate(zip(form.basis_labels, basis)):
+        ke = surface.dot(surface.canonical, e)
+        if (g[i][i] + ke) % 2:
+            raise LatticeError(f"{label}^2 + K.{label} = {g[i][i] + ke}, but adjunction needs it even")
+        if i >= first and (g[i][i], ke) != (-1, -1):
+            raise LatticeError(
+                f"exceptional class {label} has E^2 = {g[i][i]} and K.E = {ke}; "
+                f"a blow-up needs both -1"
+            )
+        for j in range(first, i):
+            if g[i][j]:
+                raise LatticeError(
+                    f"exceptional classes {form.basis_labels[j]} and {label} meet "
+                    f"with E.E' = {g[i][j]}; blow-ups need them orthogonal"
+                )
     return surface
 
 

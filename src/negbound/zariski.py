@@ -7,6 +7,11 @@ curves.  When the set is complete (it contains every irreducible curve of
 negative self-intersection on the surface, e.g. the enumerated (-1)-classes
 on a general-position del Pezzo model), the output is the true Zariski
 decomposition.
+
+The exact elimination is the bordered LDL^T factor of ``lattice``:
+``zariski_decompose`` grows one factor of the support Gram as curves join,
+the subset oracle carries one down its walk, and ``validate_decomposition``
+re-checks the final support through ``is_negative_definite``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class, pivots
+from .lattice import (
+    DivisorClass,
+    Factor,
+    LatticeError,
+    SurfaceModel,
+    _border,
+    format_class,
+    is_negative_definite,
+)
 from .riemann_roch import curve_genus
 
 
@@ -68,21 +81,6 @@ class ZariskiDecomposition:
         return total
 
 
-# LDL^T factor of symmetric M: per row, (L left of the unit diagonal, nonzero pivot)
-Factor = tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-
-
-def _border(factor: Factor, column: Sequence[Fraction], diagonal: Fraction) -> Factor:
-    """The factor of M bordered by the row (``column``, ``diagonal``): the new
-    row of L is D^-1 L^-1 column and the new pivot the Schur complement, so a
-    negative-definite M stays so exactly when that pivot is negative."""
-    y: list[Fraction] = []  # L^-1 column, by forward substitution
-    for (row, _), b in zip(factor, column):
-        y.append(b - sum(l * yi for l, yi in zip(row, y)))
-    row = tuple(yi / d for yi, (_, d) in zip(y, factor))
-    return factor + ((row, Fraction(diagonal) - sum(l * yi for l, yi in zip(row, y))),)
-
-
 def _solve(factor: Factor, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve M x = rhs exactly: border by rhs (D^-1 L^-1 rhs), then apply L^-T."""
     x = list(_border(factor, rhs, 0)[-1][0])
@@ -90,24 +88,6 @@ def _solve(factor: Factor, rhs: Sequence[Fraction]) -> list[Fraction]:
         for i, l in enumerate(factor[j][0]):
             x[i] -= l * x[j]
     return x
-
-
-def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
-    """Exact test: every pivot of the congruence reduction (``pivots``) is
-    negative, which by Sylvester's law of inertia is negative definiteness.
-    The empty matrix counts as negative definite."""
-    n = len(gram)
-    rows = [[Fraction(x) for x in row] for row in gram]
-    if any(len(row) != n for row in rows):
-        raise LatticeError("negative-definiteness needs a square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise LatticeError(
-                    f"negative-definiteness needs a symmetric matrix; "
-                    f"entry ({i},{j}) = {rows[i][j]} but ({j},{i}) = {rows[j][i]}"
-                )
-    return all(p < 0 for p in pivots(rows))
 
 
 def _gram(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> list[list[Fraction]]:

@@ -216,6 +216,15 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["rows"][0]["bound"] == "-10/1"
 
 
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, P2_BOUND)
+    out_path = str(tmp_path / "missing" / "report.json")
+    code, out, err = run_cli(capsys, ["bound", "--config", config, "--out", out_path])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: cannot write report file {out_path!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_hirzebruch_discrepancy_field(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -364,7 +373,7 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, config, needles):
         ),
         (
             job("bound", BOUND_PARAMS, **{**CUSTOM, "gram": [[1, 0], [0, 1]], "c2": 2}),
-            "signature (2, 0, 0)",
+            "complement of the polarization H is not negative definite",
         ),
         (
             job(
@@ -374,8 +383,25 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, config, needles):
             ),
             "H^2 + K.H = -1",
         ),
+        # an ample class has positive square; polarized by E1, the D.H >= 0
+        # guard would pass D = -H and return it as its own nef part
+        (
+            job("zariski", {"divisor": [-1, 0], "candidates": []}, **{**CUSTOM, "polarization": [0, 1]}),
+            "polarization E1 has H^2 = -1",
+        ),
+        # H is no exceptional class; taken as one it gives base K^2 = 10
+        (
+            job("bound", BOUND_PARAMS, **{**CUSTOM, "n_blowups": 2}),
+            "exceptional class H has E^2 = 1 and K.E = -3",
+        ),
     ],
-    ids=["fractional-candidate", "definite-gram", "odd-adjunction"],
+    ids=[
+        "fractional-candidate",
+        "definite-gram",
+        "odd-adjunction",
+        "negative-square-polarization",
+        "non-exceptional-class",
+    ],
 )
 def test_class_or_lattice_no_surface_has_exits_2(tmp_path, capsys, config, needle):
     code, out, err = run_cli(capsys, [config["task"], "--config", write_config(tmp_path, config)])

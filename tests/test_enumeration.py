@@ -55,6 +55,18 @@ def slow_minus_one_classes(n: int, max_degree: int = 10) -> set[tuple]:
 def test_cutoff_derivation():
     # (3d-1)^2 <= n(d^2+1) worked out per n
     assert [minus_one_degree_cutoff(n) for n in range(1, 9)] == [1, 1, 1, 1, 2, 2, 3, 7]
+    # the closed form is the largest degree (at least 1) passing the inequality
+    for n in range(1, 9):
+        passing = [d for d in range(1, 1001) if (3 * d - 1) ** 2 <= n * (d * d + 1)]
+        assert minus_one_degree_cutoff(n) == max([1] + passing)
+
+
+def test_minus_one_query_stops_at_cutoff():
+    """The (-1) query stops at the cutoff, so a huge max_degree returns the
+    same classes as the standard query."""
+    surface = bl(8)
+    query = CurveClassQuery(surface=surface, self_int=-1, canonical_degree=-1, max_degree=10**6)
+    assert enumerate_classes(query) == minus_one_classes(surface)
 
 
 def test_single_point_gives_one_class():

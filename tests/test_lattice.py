@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from negbound import (
     DivisorClass,
@@ -19,7 +19,6 @@ from negbound import (
     intersect,
     projective_plane,
     ruled_surface,
-    signature,
 )
 from conftest import random_model
 
@@ -142,8 +141,7 @@ def test_signature_is_hyperbolic_for_builtin_models():
         blow_up(ruled_surface(2, -5), 3),
     ] + [random_model(rng) for _ in range(20)]
     for s in models:
-        assert signature(s.lattice) == (1, s.rank - 1, 0)
-        # so every built-in model passes custom_surface's lattice checks
+        # every built-in model passes custom_surface's lattice checks
         lat = s.lattice
         custom = custom_surface(
             lat.basis_labels, lat.gram, s.canonical.coords, s.polarization.coords,
@@ -152,16 +150,60 @@ def test_signature_is_hyperbolic_for_builtin_models():
         assert custom.k2 == s.k2
 
 
-@pytest.mark.parametrize(
-    "gram,expected",
-    [
-        (((0, 0), (0, 0)), (0, 0, 2)),  # null form: zero pivots only
-        (((1, 1), (1, 1)), (1, 0, 1)),  # null remainder after one pivot
-        (((0, 1), (1, 0)), (1, 1, 0)),  # zero diagonal: hyperbolic plane
-    ],
+# Even blocks of known inertia; with K = 0 they satisfy Wu parity, and
+# chi = 1, c2 = 12 satisfy Noether.  Block: (Gram, inertia, a class of
+# positive square if it has one).
+BLOCKS = {
+    "U": (((0, 1), (1, 0)), (1, 1, 0), (1, 1)),  # hyperbolic plane
+    "+2": (((2,),), (1, 0, 0), (1,)),
+    "-2": (((-2,),), (0, 1, 0), None),
+    "0": (((0,),), (0, 0, 1), None),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(BLOCKS)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)), max_size=8),
 )
-def test_signature_degenerate_and_hyperbolic_forms(gram, expected):
-    assert signature(IntersectionForm(("a", "b"), gram)) == expected
+def test_custom_surface_accepts_exactly_hodge_index_signature(blocks, moves):
+    """U^T G U for unimodular U keeps the inertia of the block sum G, so
+    ``custom_surface`` must accept it exactly when that is (1, r-1, 0)."""
+    r = sum(len(BLOCKS[b][0]) for b in blocks)
+    g = [[0] * r for _ in range(r)]
+    inertia = [0, 0, 0]
+    start = 0
+    h = None
+    for b in blocks:
+        block, signs, positive = BLOCKS[b]
+        for i, row in enumerate(block):
+            g[start + i][start:start + len(row)] = row
+        inertia = [a + x for a, x in zip(inertia, signs)]
+        if h is None and positive:
+            h = [0] * start + list(positive) + [0] * (r - start - len(positive))
+        start += len(block)
+    h = h or [1] + [0] * (r - 1)  # no positive class: H^2 <= 0
+    # U = product of elementary column moves e_j += c e_i; H in the new
+    # basis is U^-1 h, built by the inverse row moves
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for i, j, c in moves:
+        i, j = i % r, j % r
+        if i == j:
+            continue
+        for row in u:
+            row[j] += c * row[i]
+        h[i] -= c * h[j]
+    gu = [[sum(g[a][b] * u[b][j] for b in range(r)) for j in range(r)] for a in range(r)]
+    gram = [[sum(u[a][i] * gu[a][j] for a in range(r)) for j in range(r)] for i in range(r)]
+    labels = [f"e{i}" for i in range(r)]
+    hodge = inertia == [1, r - 1, 0]
+    try:
+        custom_surface(labels, gram, [0] * r, h, chi=1, c2=12)
+    except LatticeError as exc:
+        assert not hodge, exc
+        assert "Hodge index" in str(exc)
+    else:
+        assert hodge
 
 
 def test_intersection_form_rejects_asymmetric_gram():
@@ -175,21 +217,50 @@ def test_custom_surface_enforces_noether():
 
 
 @pytest.mark.parametrize(
-    "gram,canonical,c2,message",
+    "labels,gram,canonical,polarization,c2,n_blowups,message",
     [
         # Noether holds (K^2 = 10 - 0 = 10, 12 = 10 + 2) but the form is definite
-        (((1, 0), (0, 1)), (-3, 1), 2, r"signature \(2, 0, 0\).*\(1, 1, 0\)"),
+        (
+            ("H", "E1"), ((1, 0), (0, 1)), (-3, 1), (1, 0), 2, 0,
+            r"signature \(1, 1, 0\).*complement of the polarization H is not negative definite",
+        ),
         # Noether holds (K^2 = 4, 12 = 4 + 8) but H^2 + K.H = -1
-        (((1,),), (-2,), 8, r"^H\^2 \+ K\.H = -1, but adjunction needs it even$"),
+        (("H",), ((1,),), (-2,), (1,), 8, 0, r"^H\^2 \+ K\.H = -1, but adjunction needs it even$"),
+        # the blown-up plane polarized by E1
+        (("H", "E1"), ((1, 0), (0, -1)), (-3, 1), (0, 1), 4, 1, r"^polarization E1 has H\^2 = -1;"),
+        # the blown-up plane with H declared exceptional too: base K^2 = 10
+        (
+            ("H", "E1"), ((1, 0), (0, -1)), (-3, 1), (1, 0), 4, 2,
+            r"^exceptional class H has E\^2 = 1 and K\.E = -3;",
+        ),
+        # the blown-up plane in the basis H, -E1: its K.E1 is 1
+        (
+            ("H", "E1"), ((1, 0), (0, -1)), (-3, -1), (1, 0), 4, 1,
+            r"^exceptional class E1 has E\^2 = -1 and K\.E = 1;",
+        ),
+        # Bl_2 P^2 in the basis H, E1, L = H-E1-E2: E1 and L are (-1)-classes
+        # that meet, so they are not the exceptional classes of two blow-ups
+        (
+            ("H", "E1", "L"), ((1, 0, 1), (0, -1, 1), (1, 1, -1)), (-2, 0, -1), (1, 0, 0), 5, 2,
+            r"^exceptional classes E1 and L meet with E\.E' = 1;",
+        ),
     ],
-    ids=["definite-gram", "odd-adjunction"],
+    ids=[
+        "definite-gram",
+        "odd-adjunction",
+        "negative-square-polarization",
+        "non-exceptional-class",
+        "anti-exceptional-class",
+        "meeting-exceptional-classes",
+    ],
 )
-def test_custom_surface_rejects_lattices_no_surface_has(gram, canonical, c2, message):
-    labels = ("H", "E1")[: len(gram)]
+def test_custom_surface_rejects_lattices_no_surface_has(
+    labels, gram, canonical, polarization, c2, n_blowups, message
+):
     with pytest.raises(LatticeError, match=message):
-        custom_surface(labels, gram, canonical, (1,) + (0,) * (len(gram) - 1), chi=1, c2=c2)
+        custom_surface(labels, gram, canonical, polarization, chi=1, c2=c2, n_blowups=n_blowups)
     # the blown-up plane, the lattice the probes perturb, is accepted
-    custom_surface(("H", "E1"), ((1, 0), (0, -1)), (-3, 1), (1, 0), chi=1, c2=4)
+    custom_surface(("H", "E1"), ((1, 0), (0, -1)), (-3, 1), (1, 0), chi=1, c2=4, n_blowups=1)
 
 
 def test_format_class(p2):

@@ -21,8 +21,8 @@ from negbound import (
     zariski_brute_force,
     zariski_decompose,
 )
-from negbound.lattice import pivots
-from negbound.zariski import _border, _solve
+from negbound.lattice import _border
+from negbound.zariski import _solve
 from conftest import det, sylvester_negative_definite
 
 
@@ -72,17 +72,19 @@ def test_negative_definite_agrees_with_sylvester_minors(gram):
 @settings(max_examples=300, deadline=None)
 @given(symmetric_int_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
 def test_bordered_factor_agrees_with_pivots_and_solves(m, rhs):
-    """Folding ``_border`` over the rows reproduces the congruence pivots on
-    the longest leading block whose leading minors are all nonzero, and
-    ``_solve`` on that factor inverts the block exactly."""
+    """Folding ``_border`` over the rows gives, on the longest leading block
+    whose leading minors are all nonzero, pivots that are the ratios of
+    consecutive leading minors, and ``_solve`` on that factor inverts the
+    block exactly."""
     k = 0
     while k < len(m) and det([row[: k + 1] for row in m[: k + 1]]) != 0:
         k += 1
     block = [row[:k] for row in m[:k]]
+    minors = [det([row[:i] for row in block[:i]]) for i in range(k + 1)]
     factor = ()
     for i, row in enumerate(block):
         factor = _border(factor, row[:i], row[i])
-    assert [p for _, p in factor] == pivots(block)
+    assert [p for _, p in factor] == [b / a for a, b in zip(minors, minors[1:])]
     x = _solve(factor, rhs[:k])
     assert [sum(a * xi for a, xi in zip(row, x)) for row in block] == rhs[:k]
 
