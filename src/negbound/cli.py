@@ -558,6 +558,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # a bug: one line and exit 4, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if failures:
         print(f"verification failed for {failures} class(es)", file=sys.stderr)
         return EXIT_VERIFY

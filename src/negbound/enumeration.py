@@ -47,19 +47,25 @@ class VerificationRun:
     failures: tuple[int, ...]
 
 
-def minus_one_degree_cutoff(n: int) -> int:
-    """Largest degree d a class dH - sum(m_i E_i) with C^2 = K.C = -1 can
-    have on a blow-up of the plane at n general points.
+def degree_cutoff(n: int, self_int: int, canonical_degree: int) -> int:
+    """Largest degree d a class dH - sum(m_i E_i) with C^2 = s and K.C = k
+    can have on a blow-up of the plane at n <= 8 points (below 0: none).
 
-    Such a class has sum(m_i) = 3d - 1 and sum(m_i^2) = d^2 + 1, so
+    Such a class has sum(m_i) = 3d + k and sum(m_i^2) = d^2 - s, so
     Cauchy-Schwarz over the n multiplicities forces
-    (3d - 1)^2 <= n*(d^2 + 1), i.e. (9 - n)d^2 - 6d + 1 - n <= 0, whose
-    larger root is (3 + sqrt(n(10 - n)))/(9 - n).  For n = 8 this gives
-    d <= 7; smaller n give smaller cutoffs, never below 1.
+    (3d + k)^2 <= n(d^2 - s), i.e. (9 - n)d^2 + 6kd + k^2 + ns <= 0, whose
+    larger root is (-3k + sqrt(D))/(9 - n) with D = 9k^2 - (9-n)(k^2 + ns).
+    Flooring with isqrt(D) in place of sqrt(D) is exact.
     """
+    disc = 9 * canonical_degree**2 - (9 - n) * (canonical_degree**2 + n * self_int)
+    return -1 if disc < 0 else (-3 * canonical_degree + isqrt(disc)) // (9 - n)
+
+
+def minus_one_degree_cutoff(n: int) -> int:
+    """``degree_cutoff`` of C^2 = K.C = -1, at least 1; for n = 8, d <= 7."""
     if not 1 <= n <= 8:
         raise ValueError(f"cutoff is only meaningful for 1 <= n <= 8, got {n}")
-    return max(1, (3 + isqrt(n * (10 - n))) // (9 - n))
+    return max(1, degree_cutoff(n, -1, -1))
 
 
 def _check_plane_blowup(surface: SurfaceModel) -> int:
@@ -98,19 +104,16 @@ def enumerate_classes(query: CurveClassQuery) -> tuple[DivisorClass, ...]:
     """All classes C = dH - sum(m_i E_i), 0 <= d <= max_degree, m_i >= 0,
     with C^2 = self_int and K.C = canonical_degree, plus the pure exceptional
     classes E_i when they match the targets.  Deterministic: sorted by
-    coordinate vector, duplicate-free.  The (-1, -1) query stops at
-    ``minus_one_degree_cutoff``, past which it has no classes."""
+    coordinate vector, duplicate-free.  The degree loop stops at
+    ``degree_cutoff``, past which no query has classes."""
     surface = query.surface
     n = _check_plane_blowup(surface)
     found: list[tuple[Fraction, ...]] = []
-    top = query.max_degree
-
     if query.self_int == -1 and query.canonical_degree == -1:
         for e in surface.exceptional_classes():
             found.append(e.coords)
-        if n:
-            top = min(top, minus_one_degree_cutoff(n))
 
+    top = min(query.max_degree, degree_cutoff(n, query.self_int, query.canonical_degree))
     for d in range(0, top + 1):
         total = 3 * d + query.canonical_degree  # sum of multiplicities
         sq_total = d * d - query.self_int  # sum of squared multiplicities

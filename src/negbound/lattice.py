@@ -8,22 +8,29 @@ indistinguishable at this level; every quantity served by this package
 depends only on the lattice and the blow-up count n.
 
 All arithmetic is exact.  Coordinates are `fractions.Fraction`, the Gram
-matrix has integer entries, and no floating point is used anywhere.  The
-one elimination kernel lives here: a bordered LDL^T factor (``_border``)
-that grows by one row at a time.  It decides negative definiteness, backs
-the Hodge index check of ``custom_surface``, and serves the Zariski
-decomposition's support Gram.
+matrix has integer entries, and no floating point is used anywhere.  A
+pairing walks each Gram row's stored nonzero entries only, and a surface
+computes K^2, -K.H and H^2 once.  The one elimination kernel lives here: a
+bordered LDL^T factor (``_border``) that grows by one row at a time.  It
+decides negative definiteness, backs the Hodge index check of
+``custom_surface``, and serves the Zariski decomposition's support Gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
 class LatticeError(ValueError):
     """Malformed lattice data or mismatched dimensions."""
+
+
+# Small integer coordinates share one Fraction each, so classes kept in bulk
+# (decomposition outputs, enumerated curves) hold no copies of them.
+_SMALL = {i: Fraction(i) for i in range(-64, 65)}
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,8 @@ class DivisorClass:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        coords = tuple(_SMALL[c] if c in _SMALL else Fraction(c) for c in self.coords)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def rank(self) -> int:
@@ -89,6 +97,9 @@ class IntersectionForm:
                         f"Gram matrix is not symmetric at ({i},{j}): "
                         f"{rows[i][j]} != {rows[j][i]}"
                     )
+        # per row, its nonzero (j, g_ij); not a field, so eq, hash and repr ignore it
+        sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+        object.__setattr__(self, "_sparse", sparse)
 
     @property
     def rank(self) -> int:
@@ -101,23 +112,16 @@ class IntersectionForm:
 
 
 def intersect(form: IntersectionForm, a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Exact intersection pairing a . b = a^T G b.  Symmetric and bilinear."""
+    """Exact intersection pairing a . b = a^T G b.  Symmetric and bilinear;
+    each nonzero a_i meets only the nonzero entries of Gram row i."""
     if a.rank != form.rank or b.rank != form.rank:
         raise LatticeError(
             f"coordinate length mismatch: lattice rank {form.rank}, "
             f"got vectors of rank {a.rank} and {b.rank}"
         )
-    total = Fraction(0)
-    for i, ai in enumerate(a.coords):
-        if ai == 0:
-            continue
-        row = form.gram[i]
-        acc = Fraction(0)
-        for j, bj in enumerate(b.coords):
-            if bj != 0 and row[j] != 0:
-                acc += row[j] * bj
-        total += ai * acc
-    return total
+    bc = b.coords
+    pairs = zip(a.coords, form._sparse)
+    return Fraction(sum(ai * g * bc[j] for ai, row in pairs if ai for j, g in row))
 
 
 # LDL^T factor of symmetric M: per row, (L left of the unit diagonal, nonzero pivot)
@@ -164,6 +168,7 @@ class SurfaceModel:
 
     Construction enforces Noether's identity 12*chi = K^2 + c2.  The last
     ``n_blowups`` basis classes are the exceptional classes of blow-ups.
+    ``k2``, ``a0`` and ``h2`` are computed on first use and then kept.
     """
 
     lattice: IntersectionForm
@@ -201,7 +206,7 @@ class SurfaceModel:
     def dot(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         return intersect(self.lattice, a, b)
 
-    @property
+    @cached_property
     def k2(self) -> Fraction:
         """Self-intersection of the canonical class (of this model, post blow-up)."""
         return self.dot(self.canonical, self.canonical)
@@ -211,12 +216,12 @@ class SurfaceModel:
         """K^2 of the un-blown-up base: each blow-up lowers K^2 by exactly 1."""
         return self.k2 + self.n_blowups
 
-    @property
+    @cached_property
     def a0(self) -> Fraction:
         """The degree -K.H of the polarization against the anticanonical class."""
         return -self.dot(self.canonical, self.polarization)
 
-    @property
+    @cached_property
     def h2(self) -> Fraction:
         """Self-intersection of the polarization, computed from the form."""
         return self.dot(self.polarization, self.polarization)

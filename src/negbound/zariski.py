@@ -8,6 +8,9 @@ negative self-intersection on the surface, e.g. the enumerated (-1)-classes
 on a general-position del Pezzo model), the output is the true Zariski
 decomposition.
 
+A candidate set checks the rank and genus of its curves once per surface,
+remembered by field equality, not on every call.
+
 The exact elimination is the bordered LDL^T factor of ``lattice``:
 ``zariski_decompose`` grows one factor of the support Gram as curves join,
 the subset oracle carries one down its walk, and ``validate_decomposition``
@@ -46,6 +49,8 @@ class CandidateCurveSet:
 
     ``complete`` asserts (it cannot be checked here) that the set contains
     every irreducible curve of negative self-intersection on the surface.
+    It remembers the surfaces (compared by fields) on which its curves
+    passed the rank and genus checks.
     """
 
     curves: tuple[DivisorClass, ...]
@@ -59,6 +64,8 @@ class CandidateCurveSet:
             if c.coords in seen:
                 raise LatticeError(f"duplicate candidate class ({', '.join(map(str, c.coords))})")
             seen.add(c.coords)
+        # not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_checked_on", set())
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -102,12 +109,14 @@ def _check_inputs(
         raise LatticeError(
             f"divisor rank {divisor.rank} does not match surface rank {surface.rank}"
         )
-    for c in candidates.curves:
-        if c.rank != surface.rank:
-            raise LatticeError(
-                f"candidate rank {c.rank} does not match surface rank {surface.rank}"
-            )
-        curve_genus(surface, c)
+    if surface not in candidates._checked_on:
+        for c in candidates.curves:
+            if c.rank != surface.rank:
+                raise LatticeError(
+                    f"candidate rank {c.rank} does not match surface rank {surface.rank}"
+                )
+            curve_genus(surface, c)
+        candidates._checked_on.add(surface)
     if surface.dot(divisor, surface.polarization) < 0:
         raise DecompositionError(
             "divisor has negative degree against the polarization; "

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from negbound import cli
-from negbound.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY
+from negbound.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY
 
 
 def write_config(tmp_path, payload) -> str:
@@ -520,6 +520,23 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert "verification failed" in err
     rows = json.loads(out)["rows"]
     assert rows[0]["satisfied"] is False
+
+
+def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(surface, params):
+        raise ZeroDivisionError("division by zero")
+
+    help_text, required, _ = cli.TASKS["bound"]
+    monkeypatch.setitem(cli.TASKS, "bound", (help_text, required, broken))
+    config = write_config(
+        tmp_path,
+        {"surface": {"kind": "projective_plane"}, "task": "bound", "params": {"degree": 1}},
+    )
+    code, out, err = run_cli(capsys, ["bound", "--config", config])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
+    assert "Traceback" not in err
 
 
 def test_custom_surface_roundtrip(tmp_path, capsys):

@@ -23,6 +23,7 @@ from negbound import (
     spot_check_classes,
     verify_bounds,
 )
+from negbound.enumeration import degree_cutoff
 
 # classical counts of (-1)-classes on general-position plane blow-ups
 EXPECTED_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -59,6 +60,22 @@ def test_cutoff_derivation():
     for n in range(1, 9):
         passing = [d for d in range(1, 1001) if (3 * d - 1) ** 2 <= n * (d * d + 1)]
         assert minus_one_degree_cutoff(n) == max([1] + passing)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_every_query_stops_at_the_degree_cutoff(n):
+    """Past the Cauchy-Schwarz cutoff no degree passes (3d + k)^2 <= n(d^2 - s),
+    so a huge max_degree returns the same classes as one just past it."""
+    surface = bl(n) if n else projective_plane()
+    for s, k in product(range(-2, 3), repeat=2):
+        cutoff = degree_cutoff(n, s, k)
+        passing = [d for d in range(-500, 501) if (3 * d + k) ** 2 <= n * (d * d - s)]
+        assert not passing or max(passing) == cutoff
+
+        def classes(max_degree):
+            return enumerate_classes(CurveClassQuery(surface, s, k, max_degree))
+
+        assert classes(10**6) == classes(max(1, cutoff + 5))
 
 
 def test_minus_one_query_stops_at_cutoff():

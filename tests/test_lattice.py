@@ -41,6 +41,13 @@ def test_pairing_on_two_point_blowup(p2):
     assert intersect(x2.lattice, line, line) == -1
 
 
+def test_small_integer_coordinates_share_one_fraction():
+    a = DivisorClass((3, Fraction(-6, 2), 0, Fraction(1, 2), 10**6))
+    b = DivisorClass((Fraction(3), -3, Fraction(0), Fraction(1, 2), 10**6))
+    assert a == b and all(type(c) is Fraction for c in a.coords)
+    assert [x is y for x, y in zip(a.coords, b.coords)] == [True, True, True, False, False]
+
+
 def test_intersect_rejects_rank_mismatch(p2):
     x1 = blow_up(p2, 1)
     short = DivisorClass((Fraction(1),))
@@ -129,9 +136,34 @@ def test_pairing_is_bilinear_and_symmetric(n, data):
     assert intersect(form, 3 * a, c) == 3 * intersect(form, a, c)
 
 
-def test_signature_is_hyperbolic_for_builtin_models():
+@st.composite
+def sparse_symmetric_grams(draw):
+    r = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    upper = {(i, j): draw(entry) for i in range(r) for j in range(i, r)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(r)) for i in range(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_symmetric_grams(), st.data())
+def test_sparse_pairing_equals_dense_sum(gram, data):
+    r = len(gram)
+    form = IntersectionForm(tuple(f"e{i}" for i in range(r)), gram)
+    coord = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=7))
+    a = DivisorClass(data.draw(st.tuples(*[coord] * r)))
+    b = DivisorClass(data.draw(st.tuples(*[coord] * r)))
+    got = intersect(form, a, b)
+    assert type(got) is Fraction
+    assert got == sum(a.coords[i] * gram[i][j] * b.coords[j] for i in range(r) for j in range(r))
+    # the sparse rows are not a field
+    assert form == IntersectionForm(form.basis_labels, gram)
+    assert hash(form) == hash(IntersectionForm(form.basis_labels, gram))
+    assert "_sparse" not in repr(form)
+
+
+def builtin_models():
     rng = random.Random(7)
-    models = [
+    return [
         projective_plane(),
         blow_up(projective_plane(), 8),
         hirzebruch(0),
@@ -140,7 +172,20 @@ def test_signature_is_hyperbolic_for_builtin_models():
         ruled_surface(1, -1),
         blow_up(ruled_surface(2, -5), 3),
     ] + [random_model(rng) for _ in range(20)]
-    for s in models:
+
+
+def test_cached_invariants_equal_fresh_pairings():
+    for s in builtin_models():
+        k, h = s.canonical, s.polarization
+        invariants = (s.k2, s.a0, s.h2)
+        assert invariants == (s.dot(k, k), -s.dot(k, h), s.dot(h, h))
+        assert all(type(v) is Fraction for v in invariants)
+        # kept, not recomputed
+        assert all(new is old for new, old in zip((s.k2, s.a0, s.h2), invariants))
+
+
+def test_signature_is_hyperbolic_for_builtin_models():
+    for s in builtin_models():
         # every built-in model passes custom_surface's lattice checks
         lat = s.lattice
         custom = custom_surface(

@@ -14,6 +14,7 @@ from negbound import (
     DivisorClass,
     LatticeError,
     blow_up,
+    hirzebruch,
     is_negative_definite,
     minus_one_candidates,
     projective_plane,
@@ -218,6 +219,27 @@ def test_monotone_support_under_candidate_superset(bl2):
     full_support = {e.coords for e in dec_full.support}
     assert small_support <= full_support
     assert dec_small.nef_part.coords == dec_full.nef_part.coords
+
+
+def test_candidate_checks_run_once_per_surface(bl2, monkeypatch):
+    import negbound.zariski as zariski_mod
+
+    calls = []
+    genus = zariski_mod.curve_genus
+    monkeypatch.setattr(zariski_mod, "curve_genus", lambda s, c: calls.append(c) or genus(s, c))
+    # H, E1 and 2H have genus 0 on Bl_2 P^2; 2C0 has genus -2 on Bl_1 F_1
+    cands = CandidateCurveSet(
+        curves=(DivisorClass((1, 0, 0)), DivisorClass((0, 1, 0)), DivisorClass((2, 0, 0)))
+    )
+    d = DivisorClass((1, 0, 0))
+    zariski_decompose(bl2, d, cands)
+    zariski_decompose(blow_up(projective_plane(), 2), d, cands)  # equal, not the same object
+    zariski_brute_force(bl2, d, cands)
+    assert len(calls) == len(cands)
+    with pytest.raises(LatticeError, match="candidate rank 3 does not match surface rank 4"):
+        zariski_decompose(blow_up(projective_plane(), 3), DivisorClass((1, 0, 0, 0)), cands)
+    with pytest.raises(LatticeError, match="^2C0 has arithmetic genus -2; not a curve class"):
+        zariski_decompose(blow_up(hirzebruch(1), 1), DivisorClass((1, 1, 0)), cands)
 
 
 def test_support_that_is_not_negative_definite_is_rejected(bl2):
