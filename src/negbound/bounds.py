@@ -75,7 +75,6 @@ class BoundInputs:
     k2_base: int
     n: int
     chi: int
-    c2: int
 
     def __post_init__(self) -> None:
         if self.a0 < 1:
@@ -125,7 +124,6 @@ def inputs_for_degree(surface: SurfaceModel, degree: int) -> BoundInputs:
         k2_base=_require_int(surface.k2_base, "base K^2"),
         n=surface.n_blowups,
         chi=surface.chi,
-        c2=surface.c2,
     )
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: ``bound``, ``zariski``, ``enumerate``, ``verify``, ``family``.
 Each reads a JSON job configuration (``--config``), checks it against the
-``FIELDS``, ``SURFACES`` and ``TASKS`` tables below, runs the task, and emits
+``JOB``, ``SURFACES`` and ``TASKS`` tables below, runs the task, and emits
 a deterministic report as a table, CSV, or JSON (``--format``, ``--out``).
 
 Exit codes: 0 success; 2 configuration or input error, or an unwritable
@@ -36,7 +36,6 @@ from .enumeration import (
     CurveClassQuery,
     enumerate_classes,
     minus_one_candidates,
-    minus_one_query,
     verify_bounds,
 )
 from .lattice import (
@@ -70,7 +69,8 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str) -> dict:
-    """Read a job config and check each field in it against ``FIELDS``."""
+    """Read a job config, check it against ``JOB`` and against the tables of
+    its surface kind and task, and return it with absent defaults filled in."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -82,34 +82,47 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    _section(config, "$")
-    _require(config, ("surface", "task"), "$", "every job")
-    _require(config["surface"], ("kind",), "$.surface", "every surface")
-    return config
+    job = _fields(config, "$", JOB, "every job")
+    kind, task, params = job["surface"]["kind"], job["task"], job["params"]
+    job["surface"] = _fields(job["surface"], "$.surface", SURFACES[kind][1], kind)
+    job["params"] = _fields(params, "$.params", TASKS[task][1], f"the {task} task")
+    if task == "verify" and "curves" in params and params.keys() & _QUERY:
+        _fail("$.params.curves", f"excludes the query fields {', '.join(_QUERY)}")
+    return job
 
 
 def _fail(path: str, message: str) -> NoReturn:
     raise ConfigError(f"config field {path}: {message}")
 
 
-def _require(section: dict, fields: Iterable[str], path: str, owner: str) -> None:
-    for field in fields:
-        if field not in section:
-            _fail(f"{path}.{field}", f"required for {owner}")
-
-
 # A field check: called with the value and its path, raises ConfigError.
 Check = Callable[[Any, str], None]
 
+# The default of a field that has none: the section must give it.
+REQUIRED = object()
 
-def _section(value: Any, path: str) -> None:
-    """An object whose fields are each listed, and checked, in FIELDS[path]."""
+# A section's table: each field the section allows -> (its check, its default).
+Table = dict[str, tuple[Check, Any]]
+
+
+def _fields(value: Any, path: str, table: Table, owner: str) -> dict:
+    """``value`` checked against ``table``: an object that gives only fields
+    the table lists, each passing its check, and every required one.  Returns
+    it with each absent optional field set to its default."""
+    _object(value, path)
+    for key, item in value.items():
+        if key not in table:
+            _fail(f"{path}.{key}", f"not an allowed field for {owner}")
+        table[key][0](item, f"{path}.{key}")
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in value:
+            _fail(f"{path}.{key}", f"required for {owner}")
+    return {key: value.get(key, default) for key, (_, default) in table.items()}
+
+
+def _object(value: Any, path: str) -> None:
     if type(value) is not dict:
         _fail(path, f"expected an object, got {value!r}")
-    for key, item in value.items():
-        if key not in FIELDS[path]:
-            _fail(f"{path}.{key}", "not an allowed field")
-        FIELDS[path][key](item, f"{path}.{key}")
 
 
 def _integer(minimum: int | None = None) -> Check:
@@ -168,23 +181,50 @@ def _blown_up(base: Callable[..., SurfaceModel]) -> Callable[..., SurfaceModel]:
     return build
 
 
-# Surface kind -> (required $.surface fields, constructor taking them plus
-# n_blowups).  The plane, Hirzebruch and ruled kinds are blown up at n_blowups
-# further points; a custom basis lists its exceptional classes already, so
-# there n_blowups only says how many trailing classes they are.
+# The fields of every surface kind.  ``kind`` was checked at $.surface, where
+# it picked the table.  The plane, Hirzebruch and ruled kinds are blown up at
+# n_blowups further points; a custom basis lists its exceptional classes
+# already, so there n_blowups only says how many trailing classes they are.
+_EVERY_SURFACE: Table = {"kind": (_label, REQUIRED), "n_blowups": (_integer(0), 0)}
+
+
+def _kind(
+    make: Callable[..., SurfaceModel], **own: Check
+) -> tuple[Callable[..., SurfaceModel], Table]:
+    """A kind's constructor, which takes its own fields in table order plus
+    n_blowups, and its $.surface table, in which its own fields are required."""
+    return make, {**_EVERY_SURFACE, **{field: (check, REQUIRED) for field, check in own.items()}}
+
+
+# Surface kind -> (constructor, $.surface table).
 SURFACES = {
-    "projective_plane": ((), _blown_up(projective_plane)),
-    "hirzebruch": (("e",), _blown_up(hirzebruch)),
-    "ruled": (("genus", "twist_degree"), _blown_up(ruled_surface)),
-    "custom": (("basis", "gram", "canonical", "polarization", "chi", "c2"), custom_surface),
+    "projective_plane": _kind(_blown_up(projective_plane)),
+    "hirzebruch": _kind(_blown_up(hirzebruch), e=_integer(0)),
+    "ruled": _kind(_blown_up(ruled_surface), genus=_integer(1), twist_degree=_integer()),
+    "custom": _kind(
+        custom_surface,
+        basis=_list_of(_label, non_empty=True),
+        gram=_list_of(_integers),
+        canonical=_integers,
+        polarization=_integers,
+        chi=_integer(),
+        c2=_integer(),
+    ),
 }
 
 
+def _surface(value: Any, path: str) -> None:
+    """An object whose ``kind`` names a ``SURFACES`` table."""
+    _object(value, path)
+    if "kind" not in value:
+        _fail(f"{path}.kind", "required for every surface")
+    _choice(SURFACES)(value["kind"], f"{path}.kind")
+
+
 def build_surface(surface_cfg: dict) -> SurfaceModel:
-    required, make = SURFACES[surface_cfg["kind"]]
-    _require(surface_cfg, required, "$.surface", surface_cfg["kind"])
-    fields = (surface_cfg[field] for field in required)
-    return make(*fields, n_blowups=surface_cfg.get("n_blowups", 0))
+    make, table = SURFACES[surface_cfg["kind"]]
+    fields = (surface_cfg[field] for field in table if field not in _EVERY_SURFACE)
+    return make(*fields, n_blowups=surface_cfg["n_blowups"])
 
 
 def describe_surface(surface: SurfaceModel) -> dict:
@@ -275,13 +315,12 @@ def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorCla
 
 def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
     divisor = _parse_coords(params["divisor"], surface.rank, "$.params.divisor")
-    candidate_cfg = params.get("candidates", "minus_one")
-    if candidate_cfg == "minus_one":
+    if params["candidates"] == "minus_one":
         candidates = minus_one_candidates(surface)
     else:
         curves = tuple(
             _parse_coords(raw, surface.rank, f"$.params.candidates[{i}]")
-            for i, raw in enumerate(candidate_cfg)
+            for i, raw in enumerate(params["candidates"])
         )
         candidates = CandidateCurveSet(curves=curves, complete=False)
     dec = zariski_decompose(surface, divisor, candidates)
@@ -306,34 +345,20 @@ def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
     return rows, set(), 0
 
 
-def _query_from_params(surface: SurfaceModel, params: dict) -> CurveClassQuery:
-    self_int = params.get("self_intersection", -1)
-    k_degree = params.get("canonical_degree", -1)
-    if "max_degree" in params:
-        return CurveClassQuery(
-            surface=surface,
-            self_int=self_int,
-            canonical_degree=k_degree,
-            max_degree=params["max_degree"],
-        )
-    if (self_int, k_degree) == (-1, -1):
-        return minus_one_query(surface)
-    _fail("$.params.max_degree", "required unless the query is the standard (-1, -1) search")
+def _query(surface: SurfaceModel, params: dict) -> CurveClassQuery:
+    return CurveClassQuery(surface, *(params[field] for field in _QUERY))
 
 
 def run_enumerate(surface: SurfaceModel, params: dict) -> TaskResult:
-    query = _query_from_params(surface, params)
     rows = []
-    for curve in enumerate_classes(query):
+    for curve in enumerate_classes(_query(surface, params)):
         rows.append(
             {
                 "label": format_class(surface.lattice, curve),
                 "coords": [format_rational(c) for c in curve.coords],
                 "degree": format_rational(surface.dot(curve, surface.polarization)),
                 "self_intersection": format_rational(surface.dot(curve, curve)),
-                "canonical_degree": format_rational(
-                    surface.dot(surface.canonical, curve)
-                ),
+                "canonical_degree": format_rational(surface.dot(surface.canonical, curve)),
                 "genus": format_rational(arithmetic_genus(surface, curve)),
             }
         )
@@ -341,13 +366,13 @@ def run_enumerate(surface: SurfaceModel, params: dict) -> TaskResult:
 
 
 def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
-    if "curves" in params:
-        curves: Sequence[DivisorClass] = tuple(
+    if params["curves"] is None:
+        curves: Sequence[DivisorClass] = enumerate_classes(_query(surface, params))
+    else:
+        curves = tuple(
             _parse_coords(raw, surface.rank, f"$.params.curves[{i}]")
             for i, raw in enumerate(params["curves"])
         )
-    else:
-        curves = enumerate_classes(_query_from_params(surface, params))
     run = verify_bounds(surface, curves)
     rows = []
     rules: set[str] = set()
@@ -364,56 +389,54 @@ def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
 def run_family(surface: SurfaceModel, params: dict) -> TaskResult:
     chi = surface.chi
     k2 = int(surface.k2)
-    terms = family_bound_terms(chi, k2, surface.c2, params["l"], params.get("pg", 0))
-    row: dict[str, Any] = {
-        "chi": chi,
-        "k2": k2,
-        "c2": surface.c2,
-        "l": params["l"],
-        "pg": params.get("pg", 0),
-    }
+    l, pg = params["l"], params["pg"]
+    terms = family_bound_terms(chi, k2, surface.c2, l, pg)
+    row: dict[str, Any] = {"chi": chi, "k2": k2, "c2": surface.c2, "l": l, "pg": pg}
     for name, value in terms:
         row[f"term_{name}"] = format_rational(value)
     row["bound"] = format_rational(min(value for _, value in terms))
     return [row], set(), 0
 
 
-# Subcommand -> (help text, required $.params fields, runner), in --help order.
-TASKS = {
-    "bound": ("evaluate the blow-up bound for a curve degree", ("degree",), run_bound),
-    "zariski": ("decompose a pseudoeffective divisor", ("divisor",), run_zariski),
-    "enumerate": ("list negative curve classes on a plane blow-up", (), run_enumerate),
-    "verify": ("check the bounds against a batch of curve classes", (), run_verify),
-    "family": ("evaluate the fibered-family bound", ("l",), run_family),
+# The query of ``enumerate``, and of ``verify`` when it lists no curves, in
+# CurveClassQuery's order; without max_degree it runs to the degree cutoff.
+_QUERY: Table = {
+    "self_intersection": (_integer(), -1),
+    "canonical_degree": (_integer(), -1),
+    "max_degree": (_integer(1), None),
 }
 
-# Section path -> {allowed field: its check}.
-FIELDS: dict[str, dict[str, Check]] = {
-    "$": {"surface": _section, "task": _choice(TASKS), "params": _section},
-    "$.surface": {
-        "kind": _choice(SURFACES),
-        "n_blowups": _integer(0),
-        "e": _integer(0),
-        "genus": _integer(1),
-        "twist_degree": _integer(),
-        "basis": _list_of(_label, non_empty=True),
-        "gram": _list_of(_integers),
-        "canonical": _integers,
-        "polarization": _integers,
-        "chi": _integer(),
-        "c2": _integer(),
-    },
-    "$.params": {
-        "degree": _integer(0),
-        "pg": _integer(0),
-        "divisor": _coordinates,
-        "candidates": _candidates,
-        "self_intersection": _integer(),
-        "canonical_degree": _integer(),
-        "max_degree": _integer(1),
-        "curves": _coordinate_lists,
-        "l": _integer(1),
-    },
+# Subcommand -> (help text, $.params table, runner), in --help order.  The
+# bound task accepts pg, but pg does not enter the blow-up bound.
+TASKS: dict[str, tuple[str, Table, Callable[[SurfaceModel, dict], TaskResult]]] = {
+    "bound": (
+        "evaluate the blow-up bound for a curve degree",
+        {"degree": (_integer(0), REQUIRED), "pg": (_integer(0), 0)},
+        run_bound,
+    ),
+    "zariski": (
+        "decompose a pseudoeffective divisor",
+        {"divisor": (_coordinates, REQUIRED), "candidates": (_candidates, "minus_one")},
+        run_zariski,
+    ),
+    "enumerate": ("list negative curve classes on a plane blow-up", _QUERY, run_enumerate),
+    "verify": (
+        "check the bounds against a batch of curve classes",
+        {"curves": (_coordinate_lists, None), **_QUERY},
+        run_verify,
+    ),
+    "family": (
+        "evaluate the fibered-family bound",
+        {"l": (_integer(1), REQUIRED), "pg": (_integer(0), 0)},
+        run_family,
+    ),
+}
+
+# The top level of every job.
+JOB: Table = {
+    "surface": (_surface, REQUIRED),
+    "task": (_choice(TASKS), REQUIRED),
+    "params": (_object, {}),
 }
 
 
@@ -496,10 +519,7 @@ def run(config: dict, task: str) -> tuple[dict, int]:
     if config["task"] != task:
         _fail("$.task", f"{config['task']!r} does not match the {task!r} subcommand")
     surface = build_surface(config["surface"])
-    _, required, runner = TASKS[task]
-    params = config.get("params", {})
-    _require(params, required, "$.params", f"the {task} task")
-    rows, rules, failures = runner(surface, params)
+    rows, rules, failures = TASKS[task][2](surface, config["params"])
     report = {
         "surface": describe_surface(surface),
         "task": task,

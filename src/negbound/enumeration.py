@@ -24,15 +24,15 @@ from .zariski import CandidateCurveSet
 @dataclass(frozen=True)
 class CurveClassQuery:
     """Search targets: classes C with C^2 = self_int and K.C = canonical_degree,
-    of degree at most max_degree against the pulled-back line."""
+    of degree at most max_degree (if None, ``degree_cutoff``) against the line."""
 
     surface: SurfaceModel
-    self_int: int
-    canonical_degree: int
-    max_degree: int
+    self_int: int = -1
+    canonical_degree: int = -1
+    max_degree: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_degree < 1:
+        if self.max_degree is not None and self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
 
 
@@ -59,13 +59,6 @@ def degree_cutoff(n: int, self_int: int, canonical_degree: int) -> int:
     """
     disc = 9 * canonical_degree**2 - (9 - n) * (canonical_degree**2 + n * self_int)
     return -1 if disc < 0 else (-3 * canonical_degree + isqrt(disc)) // (9 - n)
-
-
-def minus_one_degree_cutoff(n: int) -> int:
-    """``degree_cutoff`` of C^2 = K.C = -1, at least 1; for n = 8, d <= 7."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"cutoff is only meaningful for 1 <= n <= 8, got {n}")
-    return max(1, degree_cutoff(n, -1, -1))
 
 
 def _check_plane_blowup(surface: SurfaceModel) -> int:
@@ -113,7 +106,8 @@ def enumerate_classes(query: CurveClassQuery) -> tuple[DivisorClass, ...]:
         for e in surface.exceptional_classes():
             found.append(e.coords)
 
-    top = min(query.max_degree, degree_cutoff(n, query.self_int, query.canonical_degree))
+    cutoff = degree_cutoff(n, query.self_int, query.canonical_degree)
+    top = cutoff if query.max_degree is None else min(cutoff, query.max_degree)
     for d in range(0, top + 1):
         total = 3 * d + query.canonical_degree  # sum of multiplicities
         sq_total = d * d - query.self_int  # sum of squared multiplicities
@@ -129,17 +123,8 @@ def enumerate_classes(query: CurveClassQuery) -> tuple[DivisorClass, ...]:
     return tuple(DivisorClass(c) for c in found)
 
 
-def minus_one_query(surface: SurfaceModel) -> CurveClassQuery:
-    """The standard (-1)-class query with the Cauchy-Schwarz degree cutoff."""
-    n = _check_plane_blowup(surface)
-    cutoff = minus_one_degree_cutoff(n) if n >= 1 else 1
-    return CurveClassQuery(
-        surface=surface, self_int=-1, canonical_degree=-1, max_degree=cutoff
-    )
-
-
 def minus_one_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    return enumerate_classes(minus_one_query(surface))
+    return enumerate_classes(CurveClassQuery(surface))
 
 
 def minus_one_candidates(surface: SurfaceModel) -> CandidateCurveSet:

@@ -106,9 +106,7 @@ def test_criterion_3_plane_bound_reproduction():
     with criterion(3, "plane bound reproduction"):
         for n in range(0, 31):
             for degree in range(0, 31):
-                inputs = BoundInputs(
-                    degree=degree, a0=3, h2=1, k2_base=9, n=n, chi=1, c2=3
-                )
+                inputs = BoundInputs(degree=degree, a0=3, h2=1, k2_base=9, n=n, chi=1)
                 report = blowup_bound_chi_ge1(inputs)
                 unit_printed = Fraction(-n - 3 + 3 * degree)
                 assert report.term_unit_pivot == unit_printed

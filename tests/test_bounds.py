@@ -31,7 +31,7 @@ from negbound.bounds import (
 
 
 def p2_inputs(degree: int, n: int) -> BoundInputs:
-    return BoundInputs(degree=degree, a0=3, h2=1, k2_base=9, n=n, chi=1, c2=3)
+    return BoundInputs(degree=degree, a0=3, h2=1, k2_base=9, n=n, chi=1)
 
 
 def test_pivot_multiple_spot_values():
@@ -92,7 +92,7 @@ def test_plane_bound_boundary_nine_points():
 def test_chi_ge1_rejects_low_chi():
     with pytest.raises(ValueError, match="blowup_bound_chi_lt1"):
         blowup_bound_chi_ge1(
-            BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0, c2=0)
+            BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)
         )
 
 
@@ -102,7 +102,7 @@ def test_chi_lt1_rejects_high_chi():
 
 
 def test_elliptic_ruled_bound():
-    inputs = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0, c2=0)
+    inputs = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)
     report = blowup_bound_chi_lt1(inputs)
     assert report.case == CASE_K2_LE_N
     assert report.term_pivot_upper == Fraction(-9, 2)
@@ -111,13 +111,13 @@ def test_elliptic_ruled_bound():
 
 
 def test_case_tie_goes_to_k2_le_n():
-    inputs = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=0, chi=0, c2=0)
+    inputs = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=0, chi=0)
     assert blowup_bound_chi_lt1(inputs).case == CASE_K2_LE_N
 
 
 def test_genus_two_ruled_bound():
     # base: ruled surface with genus 2, twist degree -4
-    inputs = BoundInputs(degree=5, a0=12, h2=14, k2_base=-8, n=2, chi=-1, c2=-4)
+    inputs = BoundInputs(degree=5, a0=12, h2=14, k2_base=-8, n=2, chi=-1)
     report = blowup_bound_chi_lt1(inputs)
     assert report.case == CASE_K2_LE_N
     # hand substitution: -1 + (17/24)(-10) - 4 and (15/2)(-10) - 144 - 3 + 58/14
@@ -128,7 +128,7 @@ def test_genus_two_ruled_bound():
 
 def test_dispatcher_picks_by_chi():
     assert blowup_bound(p2_inputs(0, 1)).rule == "blowup_chi_ge1"
-    low = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0, c2=0)
+    low = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)
     assert blowup_bound(low).rule == "blowup_chi_lt1"
 
 
@@ -167,9 +167,7 @@ def closed_form_terms(i: BoundInputs) -> tuple[str, Fraction, Fraction, Fraction
 @example(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)  # chi < 1, K^2 <= n
 @example(degree=5, a0=2, h2=3, k2_base=6, n=2, chi=-1)  # chi < 1, K^2 > n
 def test_blowup_bound_matches_separate_closed_forms(degree, a0, h2, k2_base, n, chi):
-    inputs = BoundInputs(
-        degree=degree, a0=a0, h2=h2, k2_base=k2_base, n=n, chi=chi, c2=12 * chi - k2_base
-    )
+    inputs = BoundInputs(degree=degree, a0=a0, h2=h2, k2_base=k2_base, n=n, chi=chi)
     rule, upper, lower, unit = closed_form_terms(inputs)
     report = blowup_bound(inputs)
     assert report.rule == rule
@@ -187,13 +185,11 @@ def test_blowup_bound_matches_separate_closed_forms(degree, a0, h2, k2_base, n, 
 
 
 def test_bounds_monotone_nonincreasing_in_n():
-    for chi, k2_base, a0, h2, c2 in [(1, 9, 3, 1, 3), (0, 0, 7, 7, 0), (-1, -8, 12, 14, -4)]:
+    for chi, k2_base, a0, h2 in [(1, 9, 3, 1), (0, 0, 7, 7), (-1, -8, 12, 14)]:
         for degree in (0, 1, 5, 12):
             previous = None
             for n in range(0, 25):
-                inputs = BoundInputs(
-                    degree=degree, a0=a0, h2=h2, k2_base=k2_base, n=n, chi=chi, c2=c2
-                )
+                inputs = BoundInputs(degree=degree, a0=a0, h2=h2, k2_base=k2_base, n=n, chi=chi)
                 bound = blowup_bound(inputs).bound
                 if previous is not None:
                     assert bound <= previous
@@ -277,8 +273,8 @@ def test_family_bound_rejects_bad_l():
 
 def test_inputs_validation():
     with pytest.raises(ValueError, match="a0"):
-        BoundInputs(degree=0, a0=0, h2=1, k2_base=9, n=0, chi=1, c2=3)
+        BoundInputs(degree=0, a0=0, h2=1, k2_base=9, n=0, chi=1)
     with pytest.raises(ValueError, match="H"):
-        BoundInputs(degree=0, a0=3, h2=0, k2_base=9, n=0, chi=1, c2=3)
+        BoundInputs(degree=0, a0=3, h2=0, k2_base=9, n=0, chi=1)
     with pytest.raises(ValueError, match="degree"):
-        BoundInputs(degree=-1, a0=3, h2=1, k2_base=9, n=0, chi=1, c2=3)
+        BoundInputs(degree=-1, a0=3, h2=1, k2_base=9, n=0, chi=1)

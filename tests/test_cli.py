@@ -348,6 +348,30 @@ BAD_CONFIGS = [
     ("boolean-degree", job("bound", {"degree": True}), ("$.params.degree",)),
     ("float-l", job("family", {"l": 10.0}), ("$.params.l",)),
     ("float-n_blowups", job("bound", BOUND_PARAMS, n_blowups=2.0), ("$.surface.n_blowups",)),
+    # A field of another kind or task: each section allows only its own.
+    ("plane-with-e", job("bound", BOUND_PARAMS, e=1), ("$.surface.e", "not an allowed field")),
+    (
+        "hirzebruch-with-gram",
+        job("bound", BOUND_PARAMS, kind="hirzebruch", e=1, gram=[[1]]),
+        ("$.surface.gram", "not an allowed field"),
+    ),
+    (
+        "enumerate-with-curves",
+        job("enumerate", {"curves": [[0, 1]]}, n_blowups=1),
+        ("$.params.curves", "not an allowed field"),
+    ),
+    ("bound-with-l", job("bound", {"degree": 1, "l": 2}), ("$.params.l", "not an allowed field")),
+    (
+        "zariski-with-max_degree",
+        job("zariski", {"divisor": [1, 1], "max_degree": 2}, n_blowups=1),
+        ("$.params.max_degree", "not an allowed field"),
+    ),
+    # verify takes its curves or a query, never both
+    (
+        "verify-with-curves-and-self_intersection",
+        job("verify", {"curves": [[0, 1]], "self_intersection": -1}, n_blowups=1),
+        ("$.params.curves",),
+    ),
 ]
 
 
@@ -361,6 +385,35 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, config, needles):
     assert err.startswith("error: ")
     for needle in needles:
         assert needle in err
+
+
+def test_max_degree_is_optional_for_every_query(tmp_path, capsys):
+    """Without max_degree a query runs to the degree cutoff, which for
+    (-2, 0) on six points is 2."""
+    reports = []
+    for extra in ({}, {"max_degree": 2}):
+        params = {"self_intersection": -2, "canonical_degree": 0, **extra}
+        config = write_config(tmp_path, job("enumerate", params, n_blowups=6))
+        code, out, err = run_cli(capsys, ["enumerate", "--config", config, "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        reports.append(json.loads(out)["rows"])
+    assert reports[0] == reports[1]
+    assert len(reports[0]) == 21  # H - Ei - Ej - Ek and 2H - E1 - ... - E6
+
+
+def test_readme_config_reference_names_every_field():
+    """Each README bullet for a surface kind or a task names every field its
+    table allows, so the tables and their documentation cannot drift apart."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    reference = readme[readme.index("This section is the config reference") :]
+    reference = reference[: reference.index("\n## ")]
+    bullets = {b.partition(":")[0]: b for b in reference.split("\n* ")[1:]}
+    sections = [("Top level", cli.JOB)]
+    sections += [(f"`{kind}` surface", table) for kind, (_, table) in cli.SURFACES.items()]
+    sections += [(f"`{task}` params", table) for task, (_, table, _) in cli.TASKS.items()]
+    for lead, table in sections:
+        text = bullets[lead] + (bullets["Every surface"] if "surface" in lead else "")
+        assert [f for f in table if f"`{f}`" not in text] == [], lead
 
 
 @pytest.mark.parametrize(

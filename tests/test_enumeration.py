@@ -17,7 +17,6 @@ from negbound import (
     enumerate_classes,
     hirzebruch,
     minus_one_classes,
-    minus_one_degree_cutoff,
     projective_plane,
     ruled_surface,
     spot_check_classes,
@@ -55,11 +54,11 @@ def slow_minus_one_classes(n: int, max_degree: int = 10) -> set[tuple]:
 
 def test_cutoff_derivation():
     # (3d-1)^2 <= n(d^2+1) worked out per n
-    assert [minus_one_degree_cutoff(n) for n in range(1, 9)] == [1, 1, 1, 1, 2, 2, 3, 7]
-    # the closed form is the largest degree (at least 1) passing the inequality
+    assert [degree_cutoff(n, -1, -1) for n in range(1, 9)] == [0, 1, 1, 1, 2, 2, 3, 7]
+    # the closed form is the largest degree passing the inequality
     for n in range(1, 9):
-        passing = [d for d in range(1, 1001) if (3 * d - 1) ** 2 <= n * (d * d + 1)]
-        assert minus_one_degree_cutoff(n) == max([1] + passing)
+        passing = [d for d in range(0, 1001) if (3 * d - 1) ** 2 <= n * (d * d + 1)]
+        assert degree_cutoff(n, -1, -1) == max(passing)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
