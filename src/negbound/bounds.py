@@ -22,10 +22,10 @@ those hypotheses as explicitly caller-asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .lattice import DivisorClass, SurfaceModel
+from .values import value
 
 RULE_BLOWUP_CHI_GE1 = "blowup_chi_ge1"
 RULE_BLOWUP_CHI_LT1 = "blowup_chi_lt1"
@@ -61,7 +61,7 @@ def pivot_multiple(degree: int, a0: int) -> int:
     return max(1, -(-(degree + 1) // a0))
 
 
-@dataclass(frozen=True)
+@value
 class BoundInputs:
     """Numerical inputs for the bound evaluators.
 
@@ -87,7 +87,7 @@ class BoundInputs:
             raise ValueError(f"blow-up count must be non-negative, got {self.n}")
 
 
-@dataclass(frozen=True)
+@value
 class BoundReport:
     """Outcome of one bound evaluation.
 
@@ -192,7 +192,11 @@ def evaluate_curve(surface: SurfaceModel, curve: DivisorClass) -> BoundReport:
     witnessed self-intersection and whether the bound is satisfied."""
     report = blowup_bound(inputs_for_curve(surface, curve))
     witnessed = _require_int(surface.dot(curve, curve), "C^2")
-    return replace(report, witnessed_c2=witnessed, satisfied=witnessed >= report.bound)
+    return BoundReport(
+        report.rule, report.case, report.bound,
+        report.term_pivot_upper, report.term_pivot_lower, report.term_unit_pivot,
+        witnessed_c2=witnessed, satisfied=witnessed >= report.bound, hypotheses=report.hypotheses,
+    )
 
 
 def anticanonical_bound(chi: int, k2: int, h0_antik: int) -> Fraction:

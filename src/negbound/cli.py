@@ -346,7 +346,10 @@ def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
 
 
 def _query(surface: SurfaceModel, params: dict) -> CurveClassQuery:
-    return CurveClassQuery(surface, *(params[field] for field in _QUERY))
+    try:
+        return CurveClassQuery(surface, *(params[field] for field in _QUERY))
+    except ValueError as exc:  # the table already checked max_degree
+        _fail("$.params.self_intersection", str(exc))
 
 
 def run_enumerate(surface: SurfaceModel, params: dict) -> TaskResult:

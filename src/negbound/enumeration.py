@@ -10,7 +10,6 @@ negative section).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
@@ -18,13 +17,16 @@ from typing import Iterator, Sequence
 from .bounds import BoundReport, evaluate_curve
 from .lattice import DivisorClass, LatticeError, SurfaceModel
 from .riemann_roch import curve_genus
+from .values import value
 from .zariski import CandidateCurveSet
 
 
-@dataclass(frozen=True)
+@value
 class CurveClassQuery:
     """Search targets: classes C with C^2 = self_int and K.C = canonical_degree,
-    of degree at most max_degree (if None, ``degree_cutoff``) against the line."""
+    of degree at most max_degree (if None, ``degree_cutoff``) against the line.
+    A curve has arithmetic genus (C^2 + K.C)/2 + 1 >= 0, so C^2 + K.C < -2 is
+    rejected: no curve has such a class."""
 
     surface: SurfaceModel
     self_int: int = -1
@@ -34,9 +36,14 @@ class CurveClassQuery:
     def __post_init__(self) -> None:
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if self.self_int + self.canonical_degree < -2:
+            raise ValueError(
+                f"C^2 + K.C = {self.self_int + self.canonical_degree} < -2 gives arithmetic "
+                f"genus below 0; no curve has such a class"
+            )
 
 
-@dataclass(frozen=True)
+@value
 class VerificationRun:
     """Bound reports for a batch of curve classes; ``failures`` lists the
     indices whose witnessed C^2 fell below the computed bound."""

@@ -18,10 +18,11 @@ decides negative definiteness, backs the Hodge index check of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
+
+from .values import value
 
 
 class LatticeError(ValueError):
@@ -33,7 +34,7 @@ class LatticeError(ValueError):
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
 
 
-@dataclass(frozen=True)
+@value
 class DivisorClass:
     """A divisor class as a coordinate vector in a fixed lattice basis.
 
@@ -43,8 +44,9 @@ class DivisorClass:
 
     coords: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        coords = tuple(_SMALL[c] if c in _SMALL else Fraction(c) for c in self.coords)
+    # its own __init__, cheaper than the generic one: built thousands of times per decomposition
+    def __init__(self, coords: Iterable[int | Fraction]) -> None:
+        coords = tuple(_SMALL[c] if c in _SMALL else Fraction(c) for c in coords)
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -75,7 +77,7 @@ class DivisorClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@value
 class IntersectionForm:
     """A labelled basis together with the symmetric integer Gram matrix."""
 
@@ -162,7 +164,7 @@ def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value
 class SurfaceModel:
     """A smooth projective surface as lattice data plus numerical invariants.
 

@@ -10,13 +10,13 @@ that level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class GenusData:
     """The genus pair of a genuine curve: arithmetic genus pa, and geometric
     genus pg of the normalization, with 0 <= pg <= pa.

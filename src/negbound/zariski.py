@@ -19,7 +19,6 @@ re-checks the final support through ``is_negative_definite``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +32,7 @@ from .lattice import (
     is_negative_definite,
 )
 from .riemann_roch import curve_genus
+from .values import value
 
 
 class DecompositionError(ValueError):
@@ -43,7 +43,7 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
+@value
 class CandidateCurveSet:
     """A finite set of irreducible-curve classes, possibly of negative square.
 
@@ -71,7 +71,7 @@ class CandidateCurveSet:
         return len(self.curves)
 
 
-@dataclass(frozen=True)
+@value
 class ZariskiDecomposition:
     """The pair (P, N): nef part P, negative part N = sum a_i E_i with all
     a_i > 0 and negative-definite support Gram matrix, P orthogonal to the

@@ -366,6 +366,17 @@ BAD_CONFIGS = [
         job("zariski", {"divisor": [1, 1], "max_degree": 2}, n_blowups=1),
         ("$.params.max_degree", "not an allowed field"),
     ),
+    # no curve has arithmetic genus below 0, i.e. C^2 + K.C < -2
+    (
+        "enumerate-query-below-genus-0",
+        job("enumerate", {"self_intersection": -6, "canonical_degree": 0}, n_blowups=6),
+        ("$.params.self_intersection", "arithmetic genus below 0"),
+    ),
+    (
+        "verify-query-below-genus-0",
+        job("verify", {"self_intersection": -4, "canonical_degree": 1}, n_blowups=6),
+        ("$.params.self_intersection", "arithmetic genus below 0"),
+    ),
     # verify takes its curves or a query, never both
     (
         "verify-with-curves-and-self_intersection",

@@ -70,6 +70,8 @@ def test_every_query_stops_at_the_degree_cutoff(n):
         cutoff = degree_cutoff(n, s, k)
         passing = [d for d in range(-500, 501) if (3 * d + k) ** 2 <= n * (d * d - s)]
         assert not passing or max(passing) == cutoff
+        if s + k < -2:
+            continue  # arithmetic genus below 0: the query is refused
 
         def classes(max_degree):
             return enumerate_classes(CurveClassQuery(surface, s, k, max_degree))
@@ -152,6 +154,19 @@ def test_enumeration_rejects_many_points():
                 surface=bl(9), self_int=-1, canonical_degree=-1, max_degree=3
             )
         )
+
+
+def test_query_without_curves_is_rejected():
+    """C^2 + K.C < -2 means arithmetic genus below 0: no curve has such a
+    class, so the query is refused before any enumeration."""
+    for s, k in ((-6, 0), (-4, 1), (-50, 0), (-1, -2)):
+        with pytest.raises(ValueError, match="arithmetic genus below 0"):
+            CurveClassQuery(surface=bl(6), self_int=s, canonical_degree=k)
+    # the boundary C^2 + K.C = -2 is genus 0, the (-1)- and (-2)-curves
+    for s, k in ((-1, -1), (-2, 0), (-3, 1)):
+        query = CurveClassQuery(surface=bl(6), self_int=s, canonical_degree=k)
+        for c in enumerate_classes(query):
+            assert arithmetic_genus(query.surface, c) == 0
 
 
 def test_minus_two_query():
