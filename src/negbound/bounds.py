@@ -29,13 +29,9 @@ from .values import value
 
 RULE_BLOWUP_CHI_GE1 = "blowup_chi_ge1"
 RULE_BLOWUP_CHI_LT1 = "blowup_chi_lt1"
-RULE_ANTICANONICAL = "anticanonical"
-RULE_SURFACE = "surface"
-RULE_FAMILY = "family"
 
 CASE_K2_LE_N = "k2_le_n"
 CASE_K2_GT_N = "k2_gt_n"
-CASE_NOT_APPLICABLE = "not_applicable"
 
 # Cases of the general-surface bound, keyed on h0(-K) and h0(2(K+C)).
 SURFACE_CASE_ANTIK_EFFECTIVE = "antik_effective"
@@ -169,24 +165,6 @@ def blowup_bound(inputs: BoundInputs) -> BoundReport:
     )
 
 
-def blowup_bound_chi_ge1(inputs: BoundInputs) -> BoundReport:
-    """``blowup_bound`` restricted to base surfaces with chi(O_X) >= 1."""
-    if inputs.chi < 1:
-        raise ValueError(
-            f"chi(O_X) = {inputs.chi} < 1: use blowup_bound_chi_lt1 instead"
-        )
-    return blowup_bound(inputs)
-
-
-def blowup_bound_chi_lt1(inputs: BoundInputs) -> BoundReport:
-    """``blowup_bound`` restricted to base surfaces with chi(O_X) < 1."""
-    if inputs.chi >= 1:
-        raise ValueError(
-            f"chi(O_X) = {inputs.chi} >= 1: use blowup_bound_chi_ge1 instead"
-        )
-    return blowup_bound(inputs)
-
-
 def evaluate_curve(surface: SurfaceModel, curve: DivisorClass) -> BoundReport:
     """Evaluate the blow-up bound for a concrete curve class and record the
     witnessed self-intersection and whether the bound is satisfied."""
@@ -239,16 +217,15 @@ def family_bound_terms(
     """The four quantities whose minimum bounds vertical curves in a fibered
     family of surfaces: chi, K^2, c2 are the (fiber-independent) invariants
     of a smooth fiber, l >= 1 an upper bound for h0(-K) over all smooth
-    fibers, pg the geometric genus of the curve."""
+    fibers, pg the geometric genus of the curve.  Three of the terms are the
+    ``surface_bound`` cases; the anticanonical term is not clamped to -2."""
     if l < 1:
         raise ValueError(f"the fiber h0(-K) upper bound l must be >= 1, got {l}")
-    if pg < 0:
-        raise ValueError(f"geometric genus must be non-negative, got {pg}")
     return (
-        ("minus_two", Fraction(-2)),
+        ("minus_two", surface_bound(SURFACE_CASE_ANTIK_EFFECTIVE, chi, k2, c2)),
         ("anticanonical", Fraction(chi + k2 - 3 - l)),
-        ("chi", Fraction(k2 + chi - 3)),
-        ("genus", Fraction(k2 - 3 * c2 + 2 - 2 * pg)),
+        ("chi", surface_bound(SURFACE_CASE_BIADJOINT_TRIVIAL, chi, k2, c2)),
+        ("genus", surface_bound(SURFACE_CASE_BIADJOINT_NONTRIVIAL, chi, k2, c2, pg)),
     )
 
 

@@ -9,10 +9,14 @@ Exit codes: 0 success; 2 configuration or input error, or an unwritable
 ``--out`` file; 3 a verify run found a bound violation; 4 an internal
 invariant breach.
 
-Rationals are emitted as canonical ``p/q`` strings in CSV and JSON, and as
-``p/q`` plus a decimal approximation in table mode.  JSON reports are a
-single object with the keys ``surface``, ``task``, ``rows``, and
-``discrepancies``; CSV carries the rows with identical numeric content.
+Each task runner returns its report rows with exact values: ``Fraction``
+cells (coordinate cells are lists of them), ``int`` cells where a report
+prints an integer, strings and booleans.  Only the renderers write text:
+one helper, ``_ratio``, prints every rational as canonical ``p/q`` in CSV
+and JSON, and as ``p/q`` plus its integer or decimal approximation in table
+cells.  JSON reports are a single object with the keys ``surface``,
+``task``, ``rows``, and ``discrepancies``; CSV carries the rows with
+identical numeric content.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
-from . import bounds as bounds_mod
 from .bounds import (
+    RULE_BLOWUP_CHI_LT1,
     BoundReport,
     blowup_bound,
     family_bound_terms,
@@ -49,7 +53,6 @@ from .lattice import (
     projective_plane,
     ruled_surface,
 )
-from .rationals import approx, format_rational
 from .riemann_roch import arithmetic_genus
 from .zariski import (
     CandidateCurveSet,
@@ -224,37 +227,40 @@ def _surface(value: Any, path: str) -> None:
 def build_surface(surface_cfg: dict) -> SurfaceModel:
     make, table = SURFACES[surface_cfg["kind"]]
     fields = (surface_cfg[field] for field in table if field not in _EVERY_SURFACE)
-    return make(*fields, n_blowups=surface_cfg["n_blowups"])
+    try:
+        return make(*fields, n_blowups=surface_cfg["n_blowups"])
+    except LatticeError as exc:  # fields no smooth surface of the kind has
+        _fail("$.surface", str(exc))
 
 
 def describe_surface(surface: SurfaceModel) -> dict:
     return {
         "kind": surface.kind,
-        "params": {k: v for k, v in surface.params},
+        "params": dict(surface.params),
         "n_blowups": surface.n_blowups,
         "rank": surface.rank,
         "basis": list(surface.lattice.basis_labels),
         "chi": surface.chi,
         "c2": surface.c2,
-        "k2": format_rational(surface.k2),
-        "a0": format_rational(surface.a0),
-        "h2": format_rational(surface.h2),
-        "canonical": [format_rational(c) for c in surface.canonical.coords],
-        "polarization": [format_rational(c) for c in surface.polarization.coords],
+        "k2": surface.k2,
+        "a0": surface.a0,
+        "h2": surface.h2,
+        "canonical": list(surface.canonical.coords),
+        "polarization": list(surface.polarization.coords),
     }
 
 
-def _discrepancies(surface: SurfaceModel, rules_used: set[str]) -> list[dict]:
+def _discrepancies(surface: SurfaceModel, rows: list[dict]) -> list[dict]:
     """Known stated-vs-computed mismatches relevant to this run, so reports
     surface them instead of silently picking a side."""
     out: list[dict] = []
     if surface.kind == "hirzebruch":
-        e = surface.param("e") or 0
+        e = dict(surface.params)["e"]
         out.append(
             {
                 "id": "hirzebruch-polarization-square",
-                "computed": format_rational(Fraction(e + 2)),
-                "stated": format_rational(Fraction(e + 1)),
+                "computed": Fraction(e + 2),
+                "stated": Fraction(e + 1),
                 "note": (
                     "the intersection form [[-e,1],[1,0]] forces "
                     "(C0+(e+1)f)^2 = e+2; the value e+1 is sometimes stated "
@@ -262,12 +268,12 @@ def _discrepancies(surface: SurfaceModel, rules_used: set[str]) -> list[dict]:
                 ),
             }
         )
-    if bounds_mod.RULE_BLOWUP_CHI_LT1 in rules_used:
+    if any(row.get("rule") == RULE_BLOWUP_CHI_LT1 for row in rows):
         out.append(
             {
                 "id": "chi-lt1-unit-pivot-constant",
-                "computed": format_rational(Fraction(-3)),
-                "stated": format_rational(Fraction(-4)),
+                "computed": Fraction(-3),
+                "stated": Fraction(-4),
                 "note": (
                     "the unit-pivot term of the chi<1 bound uses constant -3, "
                     "which the general derivation gives; a worked "
@@ -278,33 +284,23 @@ def _discrepancies(surface: SurfaceModel, rules_used: set[str]) -> list[dict]:
     return out
 
 
-def _opt_rational(value: Fraction | None) -> str | None:
-    return None if value is None else format_rational(value)
-
-
 def _bound_row(report: BoundReport, degree: int, n: int) -> dict:
     return {
         "rule": report.rule,
         "case": report.case,
         "n": n,
         "degree": degree,
-        "term_pivot_upper": _opt_rational(report.term_pivot_upper),
-        "term_pivot_lower": _opt_rational(report.term_pivot_lower),
-        "term_unit_pivot": _opt_rational(report.term_unit_pivot),
-        "bound": format_rational(report.bound),
+        "term_pivot_upper": report.term_pivot_upper,
+        "term_pivot_lower": report.term_pivot_lower,
+        "term_unit_pivot": report.term_unit_pivot,
+        "bound": report.bound,
         "hypotheses": " ".join(report.hypotheses),
     }
 
 
-# What a task runner returns: report rows, the bound rules that fired (for
-# the discrepancy flags), and the number of failed verifications.
-TaskResult = tuple[list[dict], set[str], int]
-
-
-def run_bound(surface: SurfaceModel, params: dict) -> TaskResult:
+def run_bound(surface: SurfaceModel, params: dict) -> list[dict]:
     inputs = inputs_for_degree(surface, params["degree"])
-    report = blowup_bound(inputs)
-    return [_bound_row(report, inputs.degree, inputs.n)], {report.rule}, 0
+    return [_bound_row(blowup_bound(inputs), inputs.degree, inputs.n)]
 
 
 def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorClass:
@@ -313,7 +309,7 @@ def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorCla
     return DivisorClass(tuple(raw))
 
 
-def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
+def run_zariski(surface: SurfaceModel, params: dict) -> list[dict]:
     divisor = _parse_coords(params["divisor"], surface.rank, "$.params.divisor")
     if params["candidates"] == "minus_one":
         candidates = minus_one_candidates(surface)
@@ -324,13 +320,7 @@ def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
         )
         candidates = CandidateCurveSet(curves=curves, complete=False)
     dec = zariski_decompose(surface, divisor, candidates)
-    rows = [
-        {
-            "component": "nef_part",
-            "coefficient": None,
-            "coords": [format_rational(c) for c in dec.nef_part.coords],
-        }
-    ]
+    rows = [{"component": "nef_part", "coefficient": None, "coords": list(dec.nef_part.coords)}]
     by_coords = sorted(
         zip(dec.support, dec.coefficients), key=lambda pair: pair[0].coords
     )
@@ -338,11 +328,11 @@ def run_zariski(surface: SurfaceModel, params: dict) -> TaskResult:
         rows.append(
             {
                 "component": format_class(surface.lattice, curve),
-                "coefficient": format_rational(coeff),
-                "coords": [format_rational(c) for c in curve.coords],
+                "coefficient": coeff,
+                "coords": list(curve.coords),
             }
         )
-    return rows, set(), 0
+    return rows
 
 
 def _query(surface: SurfaceModel, params: dict) -> CurveClassQuery:
@@ -352,23 +342,21 @@ def _query(surface: SurfaceModel, params: dict) -> CurveClassQuery:
         _fail("$.params.self_intersection", str(exc))
 
 
-def run_enumerate(surface: SurfaceModel, params: dict) -> TaskResult:
-    rows = []
-    for curve in enumerate_classes(_query(surface, params)):
-        rows.append(
-            {
-                "label": format_class(surface.lattice, curve),
-                "coords": [format_rational(c) for c in curve.coords],
-                "degree": format_rational(surface.dot(curve, surface.polarization)),
-                "self_intersection": format_rational(surface.dot(curve, curve)),
-                "canonical_degree": format_rational(surface.dot(surface.canonical, curve)),
-                "genus": format_rational(arithmetic_genus(surface, curve)),
-            }
-        )
-    return rows, set(), 0
+def run_enumerate(surface: SurfaceModel, params: dict) -> list[dict]:
+    return [
+        {
+            "label": format_class(surface.lattice, curve),
+            "coords": list(curve.coords),
+            "degree": surface.dot(curve, surface.polarization),
+            "self_intersection": surface.dot(curve, curve),
+            "canonical_degree": surface.dot(surface.canonical, curve),
+            "genus": arithmetic_genus(surface, curve),
+        }
+        for curve in enumerate_classes(_query(surface, params))
+    ]
 
 
-def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
+def run_verify(surface: SurfaceModel, params: dict) -> list[dict]:
     if params["curves"] is None:
         curves: Sequence[DivisorClass] = enumerate_classes(_query(surface, params))
     else:
@@ -378,27 +366,25 @@ def run_verify(surface: SurfaceModel, params: dict) -> TaskResult:
         )
     run = verify_bounds(surface, curves)
     rows = []
-    rules: set[str] = set()
     for curve, report in zip(run.curves, run.reports):
-        rules.add(report.rule)
         row = _bound_row(report, int(surface.dot(curve, surface.polarization)), surface.n_blowups)
         row["label"] = format_class(surface.lattice, curve)
-        row["witnessed_c2"] = format_rational(report.witnessed_c2)
+        row["witnessed_c2"] = Fraction(report.witnessed_c2)
         row["satisfied"] = bool(report.satisfied)
         rows.append(row)
-    return rows, rules, len(run.failures)
+    return rows
 
 
-def run_family(surface: SurfaceModel, params: dict) -> TaskResult:
+def run_family(surface: SurfaceModel, params: dict) -> list[dict]:
     chi = surface.chi
     k2 = int(surface.k2)
     l, pg = params["l"], params["pg"]
     terms = family_bound_terms(chi, k2, surface.c2, l, pg)
     row: dict[str, Any] = {"chi": chi, "k2": k2, "c2": surface.c2, "l": l, "pg": pg}
     for name, value in terms:
-        row[f"term_{name}"] = format_rational(value)
-    row["bound"] = format_rational(min(value for _, value in terms))
-    return [row], set(), 0
+        row[f"term_{name}"] = value
+    row["bound"] = min(value for _, value in terms)
+    return [row]
 
 
 # The query of ``enumerate``, and of ``verify`` when it lists no curves, in
@@ -411,7 +397,7 @@ _QUERY: Table = {
 
 # Subcommand -> (help text, $.params table, runner), in --help order.  The
 # bound task accepts pg, but pg does not enter the blow-up bound.
-TASKS: dict[str, tuple[str, Table, Callable[[SurfaceModel, dict], TaskResult]]] = {
+TASKS: dict[str, tuple[str, Table, Callable[[SurfaceModel, dict], list[dict]]]] = {
     "bound": (
         "evaluate the blow-up bound for a curve degree",
         {"degree": (_integer(0), REQUIRED), "pg": (_integer(0), 0)},
@@ -443,13 +429,21 @@ JOB: Table = {
 }
 
 
+def _ratio(value: Fraction) -> str:
+    """An exact rational as canonical ``p/q``: lowest terms, q > 0, and q
+    written even when it is 1, so reports compare bit-exactly."""
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        return " ".join(str(v) for v in value)
+        return " ".join(_ratio(v) for v in value)
+    if isinstance(value, Fraction):
+        return _ratio(value)
     return str(value)
 
 
@@ -465,20 +459,18 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, default=_ratio) + "\n"
 
 
 def _table_cell(value: Any) -> str:
+    """A rational as ``p/q (n)`` when integral, else ``p/q (~x)`` with a
+    4-digit decimal; any other value as in CSV, with ``-`` for none."""
     if value is None:
         return "-"
-    if isinstance(value, str) and "/" in value:
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            return value
-        if frac.denominator == 1:
-            return f"{value} ({frac.numerator})"
-        return f"{value} (~{approx(frac)})"
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return f"{_ratio(value)} ({value.numerator})"
+        return f"{_ratio(value)} (~{float(value):.4g})"
     return _csv_cell(value)
 
 
@@ -493,7 +485,7 @@ def render_table(report: dict) -> str:
     )
     lines.append(
         f"invariants: chi={surface['chi']} c2={surface['c2']} "
-        f"K^2={surface['k2']} a0={surface['a0']} H^2={surface['h2']}"
+        f"K^2={_ratio(surface['k2'])} a0={_ratio(surface['a0'])} H^2={_ratio(surface['h2'])}"
     )
     lines.append(f"task: {report['task']}")
     rows = report["rows"]
@@ -511,25 +503,26 @@ def render_table(report: dict) -> str:
         lines.append("(no rows)")
     for disc in report["discrepancies"]:
         lines.append(
-            f"discrepancy {disc['id']}: computed {disc['computed']} vs "
-            f"stated {disc['stated']} ({disc['note']})"
+            f"discrepancy {disc['id']}: computed {_ratio(disc['computed'])} vs "
+            f"stated {_ratio(disc['stated'])} ({disc['note']})"
         )
     return "\n".join(lines) + "\n"
 
 
 def run(config: dict, task: str) -> tuple[dict, int]:
-    """Execute a validated job config; returns (report, failure_count)."""
+    """Execute a validated job config; returns the report and the number of
+    its rows whose ``satisfied`` is false (failed verifications)."""
     if config["task"] != task:
         _fail("$.task", f"{config['task']!r} does not match the {task!r} subcommand")
     surface = build_surface(config["surface"])
-    rows, rules, failures = TASKS[task][2](surface, config["params"])
+    rows = TASKS[task][2](surface, config["params"])
     report = {
         "surface": describe_surface(surface),
         "task": task,
         "rows": rows,
-        "discrepancies": _discrepancies(surface, rules),
+        "discrepancies": _discrepancies(surface, rows),
     }
-    return report, failures
+    return report, sum(row.get("satisfied") is False for row in rows)
 
 
 def _emit(text: str, out: str | None) -> None:

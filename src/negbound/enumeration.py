@@ -25,7 +25,8 @@ from .zariski import CandidateCurveSet
 class CurveClassQuery:
     """Search targets: classes C with C^2 = self_int and K.C = canonical_degree,
     of degree at most max_degree (if None, ``degree_cutoff``) against the line.
-    A curve has arithmetic genus (C^2 + K.C)/2 + 1 >= 0, so C^2 + K.C < -2 is
+    A curve has arithmetic genus (C^2 + K.C)/2 + 1 >= 0, and every integral
+    class has an even C^2 + K.C (Wu parity), so C^2 + K.C < -2 or odd is
     rejected: no curve has such a class."""
 
     surface: SurfaceModel
@@ -40,6 +41,11 @@ class CurveClassQuery:
             raise ValueError(
                 f"C^2 + K.C = {self.self_int + self.canonical_degree} < -2 gives arithmetic "
                 f"genus below 0; no curve has such a class"
+            )
+        if (self.self_int + self.canonical_degree) % 2:
+            raise ValueError(
+                f"C^2 + K.C = {self.self_int + self.canonical_degree} is odd; no integral "
+                f"class has an odd C^2 + K.C (Wu parity)"
             )
 
 

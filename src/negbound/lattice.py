@@ -228,12 +228,6 @@ class SurfaceModel:
         """Self-intersection of the polarization, computed from the form."""
         return self.dot(self.polarization, self.polarization)
 
-    def param(self, name: str) -> int | None:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return None
-
     def exceptional_classes(self) -> tuple[DivisorClass, ...]:
         """The basis classes created by blow-ups, in blow-up order."""
         first = self.rank - self.n_blowups

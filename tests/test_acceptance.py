@@ -21,7 +21,7 @@ from negbound import (
     CandidateCurveSet,
     DivisorClass,
     blow_up,
-    blowup_bound_chi_ge1,
+    blowup_bound,
     family_bound,
     hirzebruch,
     intersect,
@@ -35,7 +35,7 @@ from negbound import (
     zariski_brute_force,
     zariski_decompose,
 )
-from negbound.cli import load_config, run
+from negbound.cli import load_config, render_json, run
 from conftest import random_model, sylvester_negative_definite
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -107,7 +107,8 @@ def test_criterion_3_plane_bound_reproduction():
         for n in range(0, 31):
             for degree in range(0, 31):
                 inputs = BoundInputs(degree=degree, a0=3, h2=1, k2_base=9, n=n, chi=1)
-                report = blowup_bound_chi_ge1(inputs)
+                report = blowup_bound(inputs)
+                assert report.rule == "blowup_chi_ge1"
                 unit_printed = Fraction(-n - 3 + 3 * degree)
                 assert report.term_unit_pivot == unit_printed
                 if 9 <= n:
@@ -256,7 +257,7 @@ def test_criterion_8_discrepancy_surfacing(tmp_path):
             golden = json.loads(
                 (GOLDEN_DIR / f"{name}_discrepancies.json").read_text(encoding="utf-8")
             )
-            assert report["discrepancies"] == golden
+            assert json.loads(render_json(report))["discrepancies"] == golden
         # the hirzebruch flag carries the stated-vs-computed pair e+1 vs e+2
         hirz = json.loads(
             (GOLDEN_DIR / "hirzebruch_discrepancies.json").read_text(encoding="utf-8")

@@ -12,8 +12,6 @@ from negbound import (
     BoundInputs,
     anticanonical_bound,
     blowup_bound,
-    blowup_bound_chi_ge1,
-    blowup_bound_chi_lt1,
     family_bound,
     family_bound_terms,
     pivot_multiple,
@@ -63,7 +61,8 @@ def test_pivot_multiple_shift_law(a0, h2, degree):
 
 
 def test_plane_bound_many_points():
-    report = blowup_bound_chi_ge1(p2_inputs(degree=1, n=10))
+    report = blowup_bound(p2_inputs(degree=1, n=10))
+    assert report.rule == RULE_BLOWUP_CHI_GE1
     assert report.case == CASE_K2_LE_N
     assert report.term_pivot_upper == Fraction(-11, 3)
     assert report.term_unit_pivot == Fraction(-10)
@@ -72,7 +71,8 @@ def test_plane_bound_many_points():
 
 
 def test_plane_bound_one_point_exceptional():
-    report = blowup_bound_chi_ge1(p2_inputs(degree=0, n=1))
+    report = blowup_bound(p2_inputs(degree=0, n=1))
+    assert report.rule == RULE_BLOWUP_CHI_GE1
     assert report.case == CASE_K2_GT_N
     assert report.term_pivot_lower == Fraction(-5, 3)
     assert report.term_unit_pivot == Fraction(-4)
@@ -82,28 +82,18 @@ def test_plane_bound_one_point_exceptional():
 
 
 def test_plane_bound_boundary_nine_points():
-    report = blowup_bound_chi_ge1(p2_inputs(degree=1, n=9))
+    report = blowup_bound(p2_inputs(degree=1, n=9))
+    assert report.rule == RULE_BLOWUP_CHI_GE1
     assert report.case == CASE_K2_LE_N
     assert report.term_pivot_upper == Fraction(-3)
     assert report.term_unit_pivot == Fraction(-9)
     assert report.bound == Fraction(-9)
 
 
-def test_chi_ge1_rejects_low_chi():
-    with pytest.raises(ValueError, match="blowup_bound_chi_lt1"):
-        blowup_bound_chi_ge1(
-            BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)
-        )
-
-
-def test_chi_lt1_rejects_high_chi():
-    with pytest.raises(ValueError, match="blowup_bound_chi_ge1"):
-        blowup_bound_chi_lt1(p2_inputs(degree=0, n=1))
-
-
 def test_elliptic_ruled_bound():
     inputs = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=1, chi=0)
-    report = blowup_bound_chi_lt1(inputs)
+    report = blowup_bound(inputs)
+    assert report.rule == RULE_BLOWUP_CHI_LT1
     assert report.case == CASE_K2_LE_N
     assert report.term_pivot_upper == Fraction(-9, 2)
     assert report.term_unit_pivot == Fraction(-393, 7)
@@ -112,13 +102,15 @@ def test_elliptic_ruled_bound():
 
 def test_case_tie_goes_to_k2_le_n():
     inputs = BoundInputs(degree=0, a0=7, h2=7, k2_base=0, n=0, chi=0)
-    assert blowup_bound_chi_lt1(inputs).case == CASE_K2_LE_N
+    report = blowup_bound(inputs)
+    assert (report.rule, report.case) == (RULE_BLOWUP_CHI_LT1, CASE_K2_LE_N)
 
 
 def test_genus_two_ruled_bound():
     # base: ruled surface with genus 2, twist degree -4
     inputs = BoundInputs(degree=5, a0=12, h2=14, k2_base=-8, n=2, chi=-1)
-    report = blowup_bound_chi_lt1(inputs)
+    report = blowup_bound(inputs)
+    assert report.rule == RULE_BLOWUP_CHI_LT1
     assert report.case == CASE_K2_LE_N
     # hand substitution: -1 + (17/24)(-10) - 4 and (15/2)(-10) - 144 - 3 + 58/14
     assert report.term_pivot_upper == Fraction(-145, 12)
@@ -180,8 +172,6 @@ def test_blowup_bound_matches_separate_closed_forms(degree, a0, h2, k2_base, n, 
         assert report.case == CASE_K2_GT_N
         assert (report.term_pivot_upper, report.term_pivot_lower) == (None, lower)
         assert report.bound == min(lower, unit)
-    wrapper = blowup_bound_chi_ge1 if chi >= 1 else blowup_bound_chi_lt1
-    assert wrapper(inputs) == report
 
 
 def test_bounds_monotone_nonincreasing_in_n():
@@ -271,6 +261,11 @@ def test_family_bound_rejects_bad_l():
         family_bound(1, 9, 3, 0, 0)
 
 
+def test_family_bound_rejects_negative_pg():
+    with pytest.raises(ValueError, match="geometric genus"):
+        family_bound(1, 9, 3, 1, -1)
+
+
 def test_inputs_validation():
     with pytest.raises(ValueError, match="a0"):
         BoundInputs(degree=0, a0=0, h2=1, k2_base=9, n=0, chi=1)
@@ -278,3 +273,4 @@ def test_inputs_validation():
         BoundInputs(degree=0, a0=3, h2=0, k2_base=9, n=0, chi=1)
     with pytest.raises(ValueError, match="degree"):
         BoundInputs(degree=-1, a0=3, h2=1, k2_base=9, n=0, chi=1)
+

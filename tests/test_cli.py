@@ -169,7 +169,19 @@ def test_family_task(tmp_path, capsys):
     assert row["term_chi"] == "7/1"
 
 
+def table_rows(out: str) -> list[dict]:
+    """The rows of a table report, each cell cut at its header's column."""
+    lines = out.splitlines()[3:]
+    header = lines[0]
+    starts = [i for i, ch in enumerate(header) if ch != " " and (i == 0 or header[i - 1] == " ")]
+    bounds = list(zip(starts, starts[1:] + [None]))
+    keys = [header[a:b].strip() for a, b in bounds]
+    return [{k: line[a:b].strip() for k, (a, b) in zip(keys, bounds)} for line in lines[1:]]
+
+
 def test_csv_and_json_carry_identical_numbers(tmp_path, capsys):
+    """CSV and table cells carry the JSON values: the same ``p/q`` for every
+    rational, the table adding its integer or decimal approximation."""
     config = write_config(
         tmp_path,
         {
@@ -178,23 +190,47 @@ def test_csv_and_json_carry_identical_numbers(tmp_path, capsys):
             "params": {},
         },
     )
-    code, json_out, _ = run_cli(capsys, ["verify", "--config", config, "--format", "json"])
-    assert code == EXIT_OK
-    code, csv_out, _ = run_cli(capsys, ["verify", "--config", config, "--format", "csv"])
-    assert code == EXIT_OK
-    json_rows = json.loads(json_out)["rows"]
-    csv_rows = list(csv.DictReader(io.StringIO(csv_out)))
-    assert len(csv_rows) == len(json_rows)
-    for jrow, crow in zip(json_rows, csv_rows):
+    outs = {}
+    for fmt in ("json", "csv", "table"):
+        code, outs[fmt], _ = run_cli(capsys, ["verify", "--config", config, "--format", fmt])
+        assert code == EXIT_OK
+    json_rows = json.loads(outs["json"])["rows"]
+    csv_rows = list(csv.DictReader(io.StringIO(outs["csv"])))
+    text_rows = table_rows(outs["table"])
+    assert len(csv_rows) == len(text_rows) == len(json_rows) == 16
+    for jrow, crow, trow in zip(json_rows, csv_rows, text_rows):
+        assert list(crow) == list(trow) == list(jrow)
         for key, value in jrow.items():
             if isinstance(value, list):
-                assert crow[key] == " ".join(str(v) for v in value)
+                assert crow[key] == trow[key] == " ".join(value)
             elif value is None:
-                assert crow[key] == ""
+                assert (crow[key], trow[key]) == ("", "-")
             elif isinstance(value, bool):
-                assert crow[key] == ("true" if value else "false")
+                assert crow[key] == trow[key] == ("true" if value else "false")
+            elif isinstance(value, str) and key not in ("rule", "case", "hypotheses", "label"):
+                exact = Fraction(value)
+                assert crow[key] == value
+                number, approx = trow[key].split(" ")
+                assert number == value
+                if exact.denominator == 1:
+                    assert approx == f"({exact.numerator})"
+                else:
+                    assert approx.startswith("(~") and approx.endswith(")")
+                    assert abs(float(approx[2:-1]) - exact) <= abs(exact) * 1e-3
             else:
-                assert crow[key] == str(value)
+                assert crow[key] == trow[key] == str(value)
+
+
+def test_table_prints_a_label_that_looks_like_a_rational_as_given(tmp_path, capsys):
+    """A basis label such as ``1/2`` is text, not a number: the table prints
+    it as given, with no decimal approximation."""
+    surface = {**CUSTOM, "basis": ["H", "1/2"], "n_blowups": 1}
+    config = write_config(tmp_path, job("verify", {"curves": [[0, 1]]}, **surface))
+    code, out, err = run_cli(capsys, ["verify", "--config", config])
+    assert (code, err) == (EXIT_OK, "")
+    assert "basis=H 1/2\n" in out
+    assert [row["label"] for row in table_rows(out)] == ["1/2"]
+    assert "(~0.5)" not in out
 
 
 def test_table_format_prints_rational_and_decimal(tmp_path, capsys):
@@ -324,6 +360,12 @@ BAD_CONFIGS = [
     ("family-without-l", job("family", {"pg": 0}), ("$.params.l",)),
     ("n_blowups-below-0", job("bound", BOUND_PARAMS, n_blowups=-1), ("$.surface.n_blowups",)),
     ("e-below-0", job("bound", BOUND_PARAMS, kind="hirzebruch", e=-1), ("$.surface.e",)),
+    # a twist degree no ruled surface with effective -K has, named by section
+    (
+        "ruled-twist-degree-too-high",
+        job("bound", BOUND_PARAMS, kind="ruled", genus=1, twist_degree=0),
+        ("config field $.surface:", "twist degree < 0, got 0"),
+    ),
     (
         "genus-below-1",
         job("bound", BOUND_PARAMS, kind="ruled", genus=0, twist_degree=-1),
@@ -376,6 +418,17 @@ BAD_CONFIGS = [
         "verify-query-below-genus-0",
         job("verify", {"self_intersection": -4, "canonical_degree": 1}, n_blowups=6),
         ("$.params.self_intersection", "arithmetic genus below 0"),
+    ),
+    # no integral class has an odd C^2 + K.C (Wu parity)
+    (
+        "enumerate-odd-query",
+        job("enumerate", {"self_intersection": -1, "canonical_degree": 0}, n_blowups=6),
+        ("$.params.self_intersection", "is odd"),
+    ),
+    (
+        "verify-odd-query",
+        job("verify", {"self_intersection": 0, "canonical_degree": -1}, n_blowups=6),
+        ("$.params.self_intersection", "is odd"),
     ),
     # verify takes its curves or a query, never both
     (

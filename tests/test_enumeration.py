@@ -70,8 +70,8 @@ def test_every_query_stops_at_the_degree_cutoff(n):
         cutoff = degree_cutoff(n, s, k)
         passing = [d for d in range(-500, 501) if (3 * d + k) ** 2 <= n * (d * d - s)]
         assert not passing or max(passing) == cutoff
-        if s + k < -2:
-            continue  # arithmetic genus below 0: the query is refused
+        if s + k < -2 or (s + k) % 2:
+            continue  # arithmetic genus below 0 or odd C^2 + K.C: the query is refused
 
         def classes(max_degree):
             return enumerate_classes(CurveClassQuery(surface, s, k, max_degree))
@@ -167,6 +167,14 @@ def test_query_without_curves_is_rejected():
         query = CurveClassQuery(surface=bl(6), self_int=s, canonical_degree=k)
         for c in enumerate_classes(query):
             assert arithmetic_genus(query.surface, c) == 0
+
+
+def test_odd_query_is_rejected():
+    """Every integral class has an even C^2 + K.C (Wu parity), so a query
+    with an odd sum is refused before any enumeration."""
+    for s, k in ((-1, 0), (0, -1), (-2, 1), (1, 2), (-3, 2)):
+        with pytest.raises(ValueError, match="is odd"):
+            CurveClassQuery(surface=bl(6), self_int=s, canonical_degree=k)
 
 
 def test_minus_two_query():
