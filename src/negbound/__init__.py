@@ -5,23 +5,19 @@ bounds on self-intersections of integral curves."""
 from .bounds import (
     BoundInputs,
     BoundReport,
-    anticanonical_bound,
     blowup_bound,
     evaluate_curve,
     family_bound,
     family_bound_terms,
     inputs_for_curve,
     inputs_for_degree,
-    pivot_multiple,
     surface_bound,
 )
 from .enumeration import (
     CurveClassQuery,
-    VerificationRun,
     enumerate_classes,
     minus_one_candidates,
     minus_one_classes,
-    spot_check_classes,
     verify_bounds,
 )
 from .lattice import (
@@ -38,21 +34,13 @@ from .lattice import (
     projective_plane,
     ruled_surface,
 )
-from .riemann_roch import (
-    GenusData,
-    arithmetic_genus,
-    chi_of_divisor,
-    curve_genus,
-    genus_data,
-    self_intersection_from_chi,
-)
+from .riemann_roch import arithmetic_genus, curve_genus
 from .zariski import (
     CandidateCurveSet,
     DecompositionError,
     InvariantError,
     ZariskiDecomposition,
     validate_decomposition,
-    zariski_brute_force,
     zariski_decompose,
 )
 
@@ -65,18 +53,14 @@ __all__ = [
     "CurveClassQuery",
     "DecompositionError",
     "DivisorClass",
-    "GenusData",
     "IntersectionForm",
     "InvariantError",
     "LatticeError",
     "SurfaceModel",
-    "VerificationRun",
     "ZariskiDecomposition",
-    "anticanonical_bound",
     "arithmetic_genus",
     "blow_up",
     "blowup_bound",
-    "chi_of_divisor",
     "curve_genus",
     "custom_surface",
     "enumerate_classes",
@@ -84,7 +68,6 @@ __all__ = [
     "family_bound",
     "family_bound_terms",
     "format_class",
-    "genus_data",
     "hirzebruch",
     "inputs_for_curve",
     "inputs_for_degree",
@@ -92,14 +75,10 @@ __all__ = [
     "is_negative_definite",
     "minus_one_candidates",
     "minus_one_classes",
-    "pivot_multiple",
     "projective_plane",
     "ruled_surface",
-    "self_intersection_from_chi",
-    "spot_check_classes",
     "surface_bound",
     "validate_decomposition",
     "verify_bounds",
-    "zariski_brute_force",
     "zariski_decompose",
 ]

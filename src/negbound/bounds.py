@@ -6,14 +6,16 @@ Two families of evaluators live here.
   with -K_X effective and a very ample L of degree a0 = -K_X.L > 0, split
   on chi(O_X) >= 1 versus chi(O_X) < 1 and on K_X^2 <= n versus K_X^2 > n.
   Each case takes the minimum of two of three candidate terms built from
-  the pivot multiple m_C (see ``pivot_multiple``): a term using its upper
-  bracket estimate, one using its lower bracket estimate, and one from the
-  unit-pivot case handled through the degree-shifted curve C + a0*H.
+  the pivot multiple m_C, the least m >= 1 with C.H - a0*m <= -1, which
+  sits in the bracket (C.H + 1)/a0 <= m_C <= (C.H + a0)/a0: a term using
+  its upper bracket estimate, one using its lower bracket estimate, and
+  one from the unit-pivot case handled through the degree-shifted curve
+  C + a0*H.
 
-* Single-surface and family bounds: the anticanonical bound
-  min(-2, chi + K^2 - h0(-K) - 3), the three general-surface cases keyed on
-  effectivity of -K and on sections of the bi-adjoint class 2(K + C), and
-  the fibered-family bound combining all four quantities.
+* Single-surface and family bounds: the three general-surface cases keyed
+  on effectivity of -K and on sections of the bi-adjoint class 2(K + C),
+  and the fibered-family bound, the minimum of those three and the
+  unclamped anticanonical term chi + K^2 - l - 3, l >= h0(-K) on the fibers.
 
 Everything returns exact rationals.  Whether -K_X is actually effective and
 L actually very ample cannot be seen by the lattice model; reports carry
@@ -39,22 +41,6 @@ SURFACE_CASE_BIADJOINT_TRIVIAL = "biadjoint_trivial"
 SURFACE_CASE_BIADJOINT_NONTRIVIAL = "biadjoint_nontrivial"
 
 CALLER_HYPOTHESES = ("anticanonical_effective", "polarization_very_ample")
-
-
-def pivot_multiple(degree: int, a0: int) -> int:
-    """Smallest positive integer m with degree - a0*m <= -1, i.e. the least
-    multiple of the canonical class making m*K + C negative against H.
-
-    Equals max(1, ceil((degree + 1)/a0)) and always sits in the bracket
-    (degree + 1)/a0 <= m <= (degree + a0)/a0.
-    """
-    degree = int(degree)
-    a0 = int(a0)
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    if a0 < 1:
-        raise ValueError(f"a0 must be a positive integer, got {a0}")
-    return max(1, -(-(degree + 1) // a0))
 
 
 @value
@@ -175,15 +161,6 @@ def evaluate_curve(surface: SurfaceModel, curve: DivisorClass) -> BoundReport:
         report.term_pivot_upper, report.term_pivot_lower, report.term_unit_pivot,
         witnessed_c2=witnessed, satisfied=witnessed >= report.bound, hypotheses=report.hypotheses,
     )
-
-
-def anticanonical_bound(chi: int, k2: int, h0_antik: int) -> Fraction:
-    """min(-2, chi + K^2 - h0(-K) - 3), valid when h0(-K) > 0."""
-    if h0_antik < 1:
-        raise ValueError(
-            f"the anticanonical bound requires h0(-K) >= 1, got {h0_antik}"
-        )
-    return Fraction(min(-2, chi + k2 - h0_antik - 3))
 
 
 def surface_bound(case: str, chi: int, k2: int, c2: int, pg: int = 0) -> Fraction:

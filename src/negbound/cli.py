@@ -335,11 +335,16 @@ def run_zariski(surface: SurfaceModel, params: dict) -> list[dict]:
     return rows
 
 
-def _query(surface: SurfaceModel, params: dict) -> CurveClassQuery:
+def _enumerate(surface: SurfaceModel, params: dict) -> tuple[DivisorClass, ...]:
+    """The classes the query in ``params`` asks for on ``surface``."""
     try:
-        return CurveClassQuery(surface, *(params[field] for field in _QUERY))
+        query = CurveClassQuery(surface, *(params[field] for field in _QUERY))
     except ValueError as exc:  # the table already checked max_degree
         _fail("$.params.self_intersection", str(exc))
+    try:
+        return enumerate_classes(query)
+    except LatticeError as exc:  # a surface enumeration does not cover
+        _fail("$.surface", str(exc))
 
 
 def run_enumerate(surface: SurfaceModel, params: dict) -> list[dict]:
@@ -352,21 +357,20 @@ def run_enumerate(surface: SurfaceModel, params: dict) -> list[dict]:
             "canonical_degree": surface.dot(surface.canonical, curve),
             "genus": arithmetic_genus(surface, curve),
         }
-        for curve in enumerate_classes(_query(surface, params))
+        for curve in _enumerate(surface, params)
     ]
 
 
 def run_verify(surface: SurfaceModel, params: dict) -> list[dict]:
     if params["curves"] is None:
-        curves: Sequence[DivisorClass] = enumerate_classes(_query(surface, params))
+        curves: Sequence[DivisorClass] = _enumerate(surface, params)
     else:
         curves = tuple(
             _parse_coords(raw, surface.rank, f"$.params.curves[{i}]")
             for i, raw in enumerate(params["curves"])
         )
-    run = verify_bounds(surface, curves)
     rows = []
-    for curve, report in zip(run.curves, run.reports):
+    for curve, report in zip(curves, verify_bounds(surface, curves)):
         row = _bound_row(report, int(surface.dot(curve, surface.polarization)), surface.n_blowups)
         row["label"] = format_class(surface.lattice, curve)
         row["witnessed_c2"] = Fraction(report.witnessed_c2)

@@ -3,9 +3,8 @@ plane, and batch verification of the blow-up bounds against them.
 
 Enumeration is restricted to blow-ups of the projective plane at n <= 8
 points, where the general-position classification of negative curves is
-classical and finite.  Hirzebruch and ruled blow-up models get spot-check
-classes only (exceptional classes, fiber differences f - E_i, and the
-negative section).
+classical and finite.  On Hirzebruch and ruled blow-up models the caller
+lists the curves to verify.
 """
 
 from __future__ import annotations
@@ -47,17 +46,6 @@ class CurveClassQuery:
                 f"C^2 + K.C = {self.self_int + self.canonical_degree} is odd; no integral "
                 f"class has an odd C^2 + K.C (Wu parity)"
             )
-
-
-@value
-class VerificationRun:
-    """Bound reports for a batch of curve classes; ``failures`` lists the
-    indices whose witnessed C^2 fell below the computed bound."""
-
-    surface: SurfaceModel
-    curves: tuple[DivisorClass, ...]
-    reports: tuple[BoundReport, ...]
-    failures: tuple[int, ...]
 
 
 def degree_cutoff(n: int, self_int: int, canonical_degree: int) -> int:
@@ -147,29 +135,12 @@ def minus_one_candidates(surface: SurfaceModel) -> CandidateCurveSet:
     return CandidateCurveSet(curves=minus_one_classes(surface), complete=True)
 
 
-def spot_check_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """Negative classes worth checking on hirzebruch/ruled blow-up models:
-    the exceptional classes, the fiber differences f - E_i, and the negative
-    section C0 when C0^2 < 0."""
-    if surface.kind not in ("hirzebruch", "ruled"):
-        raise LatticeError(
-            f"spot-check classes are defined for hirzebruch/ruled models, "
-            f"got kind {surface.kind!r}"
-        )
-    classes: list[DivisorClass] = []
-    section = surface.lattice.basis_class(0)
-    if surface.dot(section, section) < 0:
-        classes.append(section)
-    fiber = surface.lattice.basis_class(1)
-    for e in surface.exceptional_classes():
-        classes.append(e)
-        classes.append(fiber - e)
-    return tuple(classes)
-
-
-def verify_bounds(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> VerificationRun:
-    """Evaluate the chi-appropriate blow-up bound on every class and record
-    which classes (if any) fall below it.  Violations are data, not errors.
+def verify_bounds(
+    surface: SurfaceModel, curves: Sequence[DivisorClass]
+) -> tuple[BoundReport, ...]:
+    """Evaluate the chi-appropriate blow-up bound on every class, one report
+    per class in order; a report whose ``satisfied`` is False is a class
+    below its bound.  Violations are data, not errors.
 
     Every class must have non-negative integer arithmetic genus; anything
     else is not a curve class and is rejected.
@@ -177,8 +148,4 @@ def verify_bounds(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> Veri
     curves = tuple(curves)
     for curve in curves:
         curve_genus(surface, curve)
-    reports = tuple(evaluate_curve(surface, curve) for curve in curves)
-    failures = tuple(i for i, report in enumerate(reports) if not report.satisfied)
-    return VerificationRun(
-        surface=surface, curves=curves, reports=reports, failures=failures
-    )
+    return tuple(evaluate_curve(surface, curve) for curve in curves)

@@ -13,8 +13,8 @@ remembered by field equality, not on every call.
 
 The exact elimination is the bordered LDL^T factor of ``lattice``:
 ``zariski_decompose`` grows one factor of the support Gram as curves join,
-the subset oracle carries one down its walk, and ``validate_decomposition``
-re-checks the final support through ``is_negative_definite``.
+and ``validate_decomposition`` re-checks the final support through
+``is_negative_definite``.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _gram(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> list[list[Fr
 def _check_inputs(
     surface: SurfaceModel, divisor: DivisorClass, candidates: CandidateCurveSet
 ) -> None:
-    """Input checks shared by both decomposition routes."""
+    """The rank, genus and degree checks on a decomposition's inputs."""
     if divisor.rank != surface.rank:
         raise LatticeError(
             f"divisor rank {divisor.rank} does not match surface rank {surface.rank}"
@@ -224,81 +224,3 @@ def zariski_decompose(
     validate_decomposition(surface, divisor, candidates, dec)
     return dec
 
-
-def zariski_brute_force(
-    surface: SurfaceModel,
-    divisor: DivisorClass,
-    candidates: CandidateCurveSet,
-) -> ZariskiDecomposition:
-    """Independent oracle: exhaust all candidate subsets.
-
-    Every subset with a negative-definite Gram matrix is tried as a support:
-    solve the orthogonality system, keep the subsets whose coefficients are
-    all positive and whose remainder is non-negative against every candidate
-    (and of non-negative square).  Exactly one decomposition may survive;
-    it must agree with the iterative algorithm.
-
-    The subset walk prunes hard: a principal submatrix of a negative-definite
-    matrix is negative definite, so supersets of a failed subset are skipped,
-    and for a one-element extension of a good subset only the last pivot
-    of the extended Gram matrix needs checking.
-    """
-    if len(candidates) > 20:
-        raise DecompositionError(
-            f"brute-force oracle is limited to 20 candidates, got {len(candidates)}"
-        )
-    _check_inputs(surface, divisor, candidates)
-
-    order = candidates.curves
-    full_gram = _gram(surface, order)
-    rhs_all = [surface.dot(divisor, c) for c in order]
-    found: list[ZariskiDecomposition] = []
-
-    def consider(idx: list[int], factor: Factor) -> None:
-        chosen = [order[i] for i in idx]
-        coeffs = _solve(factor, [rhs_all[i] for i in idx])
-        if any(a <= 0 for a in coeffs):
-            return
-        nef = divisor
-        for a, c in zip(coeffs, chosen):
-            nef = nef - a * c
-        if any(surface.dot(nef, c) < 0 for c in order):
-            return
-        if surface.dot(nef, nef) < 0:
-            return
-        found.append(
-            ZariskiDecomposition(
-                nef_part=nef, support=tuple(chosen), coefficients=tuple(coeffs)
-            )
-        )
-
-    def extend(idx: list[int], factor: Factor, start: int) -> None:
-        for j in range(start, len(order)):
-            # bordered step: idx is already negative definite, so its pivots
-            # are negative and only the last one is new
-            ext = _border(factor, [full_gram[i][j] for i in idx], full_gram[j][j])
-            if ext[-1][1] >= 0:
-                continue
-            consider(idx + [j], ext)
-            extend(idx + [j], ext, j + 1)
-
-    consider([], ())
-    extend([], (), 0)
-
-    if not found:
-        raise DecompositionError(
-            "no candidate subset yields a valid decomposition; divisor is "
-            "not pseudoeffective relative to the candidate model"
-        )
-    first = found[0]
-    for other in found[1:]:
-        same = (
-            other.nef_part.coords == first.nef_part.coords
-            and {e.coords for e in other.support} == {e.coords for e in first.support}
-        )
-        if not same:
-            raise InvariantError(
-                "candidate model admits more than one decomposition; "
-                "the candidate set violates the uniqueness assumptions"
-            )
-    return first

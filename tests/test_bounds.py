@@ -10,11 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from negbound import (
     BoundInputs,
-    anticanonical_bound,
     blowup_bound,
     family_bound,
     family_bound_terms,
-    pivot_multiple,
     surface_bound,
 )
 from negbound.bounds import (
@@ -26,6 +24,7 @@ from negbound.bounds import (
     SURFACE_CASE_BIADJOINT_NONTRIVIAL,
     SURFACE_CASE_BIADJOINT_TRIVIAL,
 )
+from oracles import pivot_multiple
 
 
 def p2_inputs(degree: int, n: int) -> BoundInputs:
@@ -201,24 +200,6 @@ def test_report_bound_is_min_of_populated_terms():
             ]
             assert len(populated) == 2
             assert report.bound == min(populated)
-
-
-def test_anticanonical_bound_values():
-    assert anticanonical_bound(1, 9, 10) == -3
-    assert anticanonical_bound(1, 9, 1) == -2
-    assert anticanonical_bound(0, 0, 1) == -4
-
-
-def test_anticanonical_bound_requires_sections():
-    with pytest.raises(ValueError, match="h0"):
-        anticanonical_bound(1, 9, 0)
-
-
-def test_anticanonical_bound_never_above_minus_two():
-    for chi in range(-3, 4):
-        for k2 in range(-10, 11):
-            for h0 in range(1, 6):
-                assert anticanonical_bound(chi, k2, h0) <= -2
 
 
 def test_surface_bound_cases():

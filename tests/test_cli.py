@@ -430,6 +430,17 @@ BAD_CONFIGS = [
         job("verify", {"self_intersection": 0, "canonical_degree": -1}, n_blowups=6),
         ("$.params.self_intersection", "is odd"),
     ),
+    # enumeration covers blow-ups of the plane at n <= 8 points only
+    (
+        "verify-query-on-hirzebruch",
+        job("verify", {}, kind="hirzebruch", e=1, n_blowups=1),
+        ("config field $.surface:", "plane only"),
+    ),
+    (
+        "enumerate-beyond-eight-points",
+        job("enumerate", {}, n_blowups=9),
+        ("config field $.surface:", "n <= 8"),
+    ),
     # verify takes its curves or a query, never both
     (
         "verify-with-curves-and-self_intersection",
@@ -606,11 +617,8 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch):
     a verification run with one failed report.
     """
     import negbound.cli as cli_mod
-    from negbound import VerificationRun, blow_up, projective_plane
     from negbound.bounds import BoundReport
 
-    surface = blow_up(projective_plane(), 1)
-    curve = surface.lattice.basis_class(1)
     report = BoundReport(
         rule="blowup_chi_ge1",
         case="k2_gt_n",
@@ -620,10 +628,7 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch):
         witnessed_c2=-1,
         satisfied=False,
     )
-    fake = VerificationRun(
-        surface=surface, curves=(curve,), reports=(report,), failures=(0,)
-    )
-    monkeypatch.setattr(cli_mod, "verify_bounds", lambda *a, **k: fake)
+    monkeypatch.setattr(cli_mod, "verify_bounds", lambda *a, **k: (report,))
     config = write_config(
         tmp_path,
         {

@@ -19,10 +19,10 @@ from negbound import (
     minus_one_classes,
     projective_plane,
     ruled_surface,
-    spot_check_classes,
     verify_bounds,
 )
 from negbound.enumeration import degree_cutoff
+from oracles import spot_check_classes
 
 # classical counts of (-1)-classes on general-position plane blow-ups
 EXPECTED_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -196,21 +196,21 @@ def test_minus_two_query():
 def test_verify_bounds_del_pezzo_has_no_failures():
     for n in range(1, 9):
         surface = bl(n)
-        run = verify_bounds(surface, minus_one_classes(surface))
-        assert run.failures == ()
-        assert len(run.reports) == len(run.curves)
+        classes = minus_one_classes(surface)
+        reports = verify_bounds(surface, classes)
+        assert all(r.satisfied for r in reports)
+        assert len(reports) == len(classes)
 
 
 def test_verify_bounds_exceptional_example():
     surface = bl(1)
-    run = verify_bounds(surface, [DivisorClass((0, 1))])
-    assert run.reports[0].bound == Fraction(-4)
-    assert run.reports[0].satisfied is True
+    reports = verify_bounds(surface, [DivisorClass((0, 1))])
+    assert reports[0].bound == Fraction(-4)
+    assert reports[0].satisfied is True
 
 
 def test_verify_bounds_empty_run():
-    run = verify_bounds(bl(2), [])
-    assert run.curves == () and run.reports == () and run.failures == ()
+    assert verify_bounds(bl(2), []) == ()
 
 
 def test_verify_bounds_rejects_non_curve_classes():
@@ -237,8 +237,8 @@ EXPECTED_MIN_SLACK = {
 @pytest.mark.parametrize("n", range(1, 9))
 def test_exact_minimum_slack(n):
     surface = bl(n)
-    run = verify_bounds(surface, minus_one_classes(surface))
-    slack = min(Fraction(r.witnessed_c2) - r.bound for r in run.reports)
+    reports = verify_bounds(surface, minus_one_classes(surface))
+    slack = min(Fraction(r.witnessed_c2) - r.bound for r in reports)
     assert slack == EXPECTED_MIN_SLACK[n]
     assert slack > 0
 
@@ -254,8 +254,8 @@ def test_spot_check_classes_on_ruled_models():
             assert pa.denominator == 1 and pa >= 0
             # the polarization stays non-negative on them
             assert surface.dot(c, surface.polarization) >= 0
-        run = verify_bounds(surface, classes)
-        assert run.failures == ()
+        reports = verify_bounds(surface, classes)
+        assert all(r.satisfied for r in reports)
 
 
 def test_spot_check_requires_ruled_kind():

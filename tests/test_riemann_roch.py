@@ -14,16 +14,14 @@ from negbound import (
     LatticeError,
     arithmetic_genus,
     blow_up,
-    chi_of_divisor,
     curve_genus,
-    genus_data,
     intersect,
     projective_plane,
-    self_intersection_from_chi,
     verify_bounds,
     zariski_decompose,
 )
 from conftest import random_integral_class, random_model
+from oracles import chi_of_divisor, self_intersection_from_chi
 
 
 def test_genus_of_a_line(p2):
@@ -101,23 +99,6 @@ def test_chi_has_serre_symmetry():
         assert chi_of_divisor(s, d) == chi_of_divisor(s, s.canonical - d)
 
 
-def test_genus_data_validation(p2):
-    from negbound import genus_data, GenusData
-
-    x2 = blow_up(p2, 2)
-    line = DivisorClass((1, -1, -1))
-    pair = genus_data(x2, line, pg=0)
-    assert (pair.pa, pair.pg) == (0, 0)
-    cubic = genus_data(p2, DivisorClass((3,)), pg=1)
-    assert (cubic.pa, cubic.pg) == (1, 1)
-    with pytest.raises(ValueError, match="pg <= pa"):
-        genus_data(p2, DivisorClass((3,)), pg=2)
-    with pytest.raises(ValueError, match="not a curve class"):
-        genus_data(x2, DivisorClass((0, -3, 0)))
-    with pytest.raises(ValueError):
-        GenusData(pa=1, pg=-1)
-
-
 def test_curve_genus_is_the_one_genus_rule(p2):
     """Every route that needs a curve class rejects a non-curve class with
     the same error, naming the class."""
@@ -136,7 +117,6 @@ def test_curve_genus_is_the_one_genus_rule(p2):
     for bad, message in rejected:
         routes = [
             lambda: curve_genus(x2, bad),
-            lambda: genus_data(x2, bad),
             lambda: verify_bounds(x2, [bad]),
             lambda: zariski_decompose(x2, DivisorClass((1, 0, 0)), CandidateCurveSet(curves=(bad,))),
         ]

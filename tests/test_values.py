@@ -18,11 +18,9 @@ from negbound import (
     CandidateCurveSet,
     CurveClassQuery,
     DivisorClass,
-    GenusData,
     IntersectionForm,
     LatticeError,
     SurfaceModel,
-    VerificationRun,
     ZariskiDecomposition,
     blow_up,
     projective_plane,
@@ -37,7 +35,6 @@ def samples() -> dict[str, tuple[type, tuple, dict]]:
     p2 = projective_plane()
     x1 = blow_up(p2, 1)
     e1 = DivisorClass((0, 1))
-    report = BoundReport("blowup_chi_ge1", "k2_gt_n", Fraction(-4))
     args = {
         DivisorClass: ((Fraction(1), Fraction(-1, 2)),),
         IntersectionForm: (("H", "E1"), ((1, 0), (0, -1))),
@@ -45,10 +42,8 @@ def samples() -> dict[str, tuple[type, tuple, dict]]:
         CandidateCurveSet: ((e1,),),
         ZariskiDecomposition: (DivisorClass((1, 0)), (e1,), (Fraction(2),)),
         CurveClassQuery: (x1,),
-        VerificationRun: (x1, (e1,), (report,), ()),
         BoundInputs: (2, 3, 1, 9, 1, 1),
         BoundReport: ("blowup_chi_ge1", "k2_gt_n", Fraction(-4)),
-        GenusData: (1, 0),
     }
     return {
         cls.__name__: (cls, values, dict(zip(cls.__annotations__, values)))
@@ -75,7 +70,7 @@ DEFAULTS = {
 
 
 def test_every_value_class_is_sampled():
-    assert len(NAMES) == 10
+    assert len(NAMES) == 8
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -97,7 +92,6 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
 
 
 def test_different_fields_give_different_objects():
-    assert GenusData(1, 0) != GenusData(1, 1)
     assert BoundInputs(2, 3, 1, 9, 1, 1) != BoundInputs(2, 3, 1, 9, 2, 1)
     assert DivisorClass((1, 0)) != DivisorClass((0, 1))
     # the same fields in another class are not equal
@@ -119,13 +113,13 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 def test_construction_rejects_bad_arguments():
     with pytest.raises(TypeError):
-        GenusData(1, 0, 2)
+        IntersectionForm(("H",), ((1,),), 2)
     with pytest.raises(TypeError):
-        GenusData(1, pa=1)
+        IntersectionForm(("H",), basis_labels=("H",))
     with pytest.raises(TypeError):
-        GenusData(pa=1, genus=0)
+        IntersectionForm(basis_labels=("H",), matrix=((1,),))
     with pytest.raises(TypeError):
-        GenusData(pa=1)
+        IntersectionForm(basis_labels=("H",))
 
 
 def test_surface_invariants_are_cached_and_stay_out_of_equality():
@@ -155,12 +149,6 @@ P2 = (
     "polarization=DivisorClass(coords=(Fraction(1, 1),)), chi=1, c2=3, n_blowups=0, "
     "kind='projective_plane', params=())"
 )
-X1 = (
-    "SurfaceModel(lattice=IntersectionForm(basis_labels=('H', 'E1'), gram=((1, 0), (0, -1))), "
-    "canonical=DivisorClass(coords=(Fraction(-3, 1), Fraction(1, 1))), "
-    "polarization=DivisorClass(coords=(Fraction(1, 1), Fraction(0, 1))), chi=1, c2=4, "
-    "n_blowups=1, kind='projective_plane', params=())"
-)
 E1 = "DivisorClass(coords=(Fraction(0, 1), Fraction(1, 1)))"
 REPORT = (
     "BoundReport(rule='blowup_chi_ge1', case='k2_gt_n', bound=Fraction(-4, 1), "
@@ -174,7 +162,7 @@ def test_reprs_are_pinned():
     p2 = projective_plane()
     x1 = blow_up(p2, 1)
     e1 = DivisorClass((0, 1))
-    run = negbound.verify_bounds(x1, [e1])
+    reports = negbound.verify_bounds(x1, [e1])
     pinned = {
         DivisorClass((1, Fraction(-1, 2))): "DivisorClass(coords=(Fraction(1, 1), Fraction(-1, 2)))",
         IntersectionForm(("H", "E1"), ((1, 0), (0, -1))): (
@@ -189,14 +177,12 @@ def test_reprs_are_pinned():
         CurveClassQuery(p2, max_degree=2): (
             f"CurveClassQuery(surface={P2}, self_int=-1, canonical_degree=-1, max_degree=2)"
         ),
-        run: f"VerificationRun(surface={X1}, curves=({E1},), reports=({REPORT},), failures=())",
         BoundInputs(degree=2, a0=3, h2=1, k2_base=9, n=1, chi=1): (
             "BoundInputs(degree=2, a0=3, h2=1, k2_base=9, n=1, chi=1)"
         ),
-        run.reports[0]: REPORT,
-        GenusData(pa=1, pg=0): "GenusData(pa=1, pg=0)",
+        reports[0]: REPORT,
     }
-    assert len({type(obj) for obj in pinned}) == 10
+    assert len({type(obj) for obj in pinned}) == 8
     for obj, text in pinned.items():
         assert repr(obj) == text
 
@@ -229,8 +215,6 @@ VALIDATION = [
      ValueError, "degree C.H must be non-negative, got -1"),
     (BoundInputs, dict(degree=1, a0=3, h2=1, k2_base=9, n=-1, chi=1),
      ValueError, "blow-up count must be non-negative, got -1"),
-    (GenusData, dict(pa=1, pg=2), ValueError, "genus pair needs 0 <= pg <= pa, got pg = 2, pa = 1"),
-    (GenusData, dict(pa=0, pg=-1), ValueError, "genus pair needs 0 <= pg <= pa, got pg = -1, pa = 0"),
 ]
 
 

@@ -19,12 +19,12 @@ from negbound import (
     minus_one_candidates,
     projective_plane,
     validate_decomposition,
-    zariski_brute_force,
     zariski_decompose,
 )
 from negbound.lattice import _border
 from negbound.zariski import _solve
 from conftest import det, sylvester_negative_definite
+from oracles import zariski_brute_force
 
 
 def test_negative_definite_singleton():
