@@ -53,7 +53,7 @@ from .lattice import (
     projective_plane,
     ruled_surface,
 )
-from .riemann_roch import arithmetic_genus
+from .riemann_roch import arithmetic_genus, curve_genus
 from .zariski import (
     CandidateCurveSet,
     DecompositionError,
@@ -309,16 +309,26 @@ def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorCla
     return DivisorClass(tuple(raw))
 
 
+def _curves(surface: SurfaceModel, params: dict, field: str) -> tuple[DivisorClass, ...]:
+    """The curve classes in ``params[field]``; a non-curve exits 2 naming its entry."""
+    curves = []
+    for i, raw in enumerate(params[field]):
+        where = f"$.params.{field}[{i}]"
+        curve = _parse_coords(raw, surface.rank, where)
+        try:
+            curve_genus(surface, curve)
+        except LatticeError as exc:
+            _fail(where, str(exc))
+        curves.append(curve)
+    return tuple(curves)
+
+
 def run_zariski(surface: SurfaceModel, params: dict) -> list[dict]:
     divisor = _parse_coords(params["divisor"], surface.rank, "$.params.divisor")
     if params["candidates"] == "minus_one":
         candidates = minus_one_candidates(surface)
     else:
-        curves = tuple(
-            _parse_coords(raw, surface.rank, f"$.params.candidates[{i}]")
-            for i, raw in enumerate(params["candidates"])
-        )
-        candidates = CandidateCurveSet(curves=curves, complete=False)
+        candidates = CandidateCurveSet(curves=_curves(surface, params, "candidates"))
     dec = zariski_decompose(surface, divisor, candidates)
     rows = [{"component": "nef_part", "coefficient": None, "coords": list(dec.nef_part.coords)}]
     by_coords = sorted(
@@ -365,10 +375,7 @@ def run_verify(surface: SurfaceModel, params: dict) -> list[dict]:
     if params["curves"] is None:
         curves: Sequence[DivisorClass] = _enumerate(surface, params)
     else:
-        curves = tuple(
-            _parse_coords(raw, surface.rank, f"$.params.curves[{i}]")
-            for i, raw in enumerate(params["curves"])
-        )
+        curves = _curves(surface, params, "curves")
     rows = []
     for curve, report in zip(curves, verify_bounds(surface, curves)):
         row = _bound_row(report, int(surface.dot(curve, surface.polarization)), surface.n_blowups)

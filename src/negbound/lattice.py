@@ -8,12 +8,14 @@ indistinguishable at this level; every quantity served by this package
 depends only on the lattice and the blow-up count n.
 
 All arithmetic is exact.  Coordinates are `fractions.Fraction`, the Gram
-matrix has integer entries, and no floating point is used anywhere.  A
-pairing walks each Gram row's stored nonzero entries only, and a surface
-computes K^2, -K.H and H^2 once.  The one elimination kernel lives here: a
-bordered LDL^T factor (``_border``) that grows by one row at a time.  It
-decides negative definiteness, backs the Hodge index check of
-``custom_surface``, and serves the Zariski decomposition's support Gram.
+matrix has integer entries, and no floating point is used anywhere.
+Integers in -64..64 share one `Fraction` each (``_shared``), in class
+coordinates and Zariski coefficients alike.  A pairing walks each Gram
+row's stored nonzero entries only, and a surface computes K^2, -K.H and
+H^2 once.  The one elimination kernel lives here: a bordered LDL^T factor
+(``_border``) that grows by one row at a time.  It decides negative
+definiteness, backs the Hodge index check of ``custom_surface``, and
+serves the Zariski decomposition's support Gram.
 """
 
 from __future__ import annotations
@@ -29,9 +31,19 @@ class LatticeError(ValueError):
     """Malformed lattice data or mismatched dimensions."""
 
 
-# Small integer coordinates share one Fraction each, so classes kept in bulk
-# (decomposition outputs, enumerated curves) hold no copies of them.
+# Small integers share one Fraction each, so values kept in bulk (class
+# coordinates, decomposition coefficients) hold no copies of them.
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
+
+
+def _shared(c: int | str | Fraction) -> Fraction:
+    """``c`` as a Fraction: the ``_SMALL`` one, looked up by its integer
+    value, when it is an integer in -64..64, else ``c`` itself if already one."""
+    if type(c) is int and -64 <= c <= 64:
+        return _SMALL[c]
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return _SMALL.get(c.numerator, c) if c.denominator == 1 else c
 
 
 @value
@@ -46,8 +58,7 @@ class DivisorClass:
 
     # its own __init__, cheaper than the generic one: built thousands of times per decomposition
     def __init__(self, coords: Iterable[int | Fraction]) -> None:
-        coords = tuple(_SMALL[c] if c in _SMALL else Fraction(c) for c in coords)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(map(_shared, coords)))
 
     @property
     def rank(self) -> int:

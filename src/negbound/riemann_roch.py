@@ -15,17 +15,19 @@ from .lattice import DivisorClass, LatticeError, SurfaceModel, format_class
 
 
 def curve_genus(surface: SurfaceModel, curve: DivisorClass) -> int:
-    """p_a of a curve class; a class with a non-integer coordinate, or whose
-    adjunction genus is not a non-negative integer, is not a curve class
-    and is rejected."""
+    """p_a of a curve class; the zero class, a class with a non-integer
+    coordinate, and a class whose adjunction genus is not a non-negative
+    integer are not curve classes and are rejected."""
     pa = arithmetic_genus(surface, curve)
-    if any(c.denominator != 1 for c in curve.coords):
-        reason = "a non-integer coordinate"
+    if not any(curve.coords):
+        reason = "is the zero class"
+    elif any(c.denominator != 1 for c in curve.coords):
+        reason = "has a non-integer coordinate"
     elif pa.denominator != 1 or pa < 0:
-        reason = f"arithmetic genus {pa}"
+        reason = f"has arithmetic genus {pa}"
     else:
         return int(pa)
-    raise LatticeError(f"{format_class(surface.lattice, curve)} has {reason}; not a curve class")
+    raise LatticeError(f"{format_class(surface.lattice, curve)} {reason}; not a curve class")
 
 
 def arithmetic_genus(surface: SurfaceModel, curve: DivisorClass) -> Fraction:

@@ -28,6 +28,7 @@ from .lattice import (
     LatticeError,
     SurfaceModel,
     _border,
+    _shared,
     format_class,
     is_negative_definite,
 )
@@ -82,10 +83,21 @@ class ZariskiDecomposition:
     coefficients: tuple[Fraction, ...]
 
     def negative_part(self) -> DivisorClass:
-        total = DivisorClass((Fraction(0),) * self.nef_part.rank)
-        for a, e in zip(self.coefficients, self.support):
-            total = total + a * e
-        return total
+        zero = DivisorClass((0,) * self.nef_part.rank)
+        return _remainder(zero, [-a for a in self.coefficients], self.support)
+
+
+def _remainder(
+    divisor: DivisorClass, coefficients: Sequence[Fraction], curves: Sequence[DivisorClass]
+) -> DivisorClass:
+    """D - sum a_i E_i, in one pass over each E_i's nonzero coordinates."""
+    coords = list(divisor.coords)
+    for a, e in zip(coefficients, curves):
+        divisor._check_match(e)
+        for j, c in enumerate(e.coords):
+            if c:
+                coords[j] -= a * c
+    return DivisorClass(coords)
 
 
 def _solve(factor: Factor, rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -98,7 +110,9 @@ def _solve(factor: Factor, rhs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _gram(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> list[list[Fraction]]:
-    return [[surface.dot(a, b) for b in curves] for a in curves]
+    """The Gram matrix of ``curves``, each unordered pair paired once."""
+    upper = [[surface.dot(a, b) for b in curves[i:]] for i, a in enumerate(curves)]
+    return [[upper[min(i, j)][abs(i - j)] for j in range(len(curves))] for i in range(len(curves))]
 
 
 def _check_inputs(
@@ -181,9 +195,7 @@ def zariski_decompose(
     factor: Factor = ()
     coeffs: list[Fraction] = []
     for _ in range(len(order) + 1):
-        nef = divisor
-        for a, i in zip(coeffs, support_idx):
-            nef = nef - a * order[i]
+        nef = _remainder(divisor, coeffs, [order[i] for i in support_idx])
         violator = None
         for i, curve in enumerate(order):
             if i not in support_idx and surface.dot(nef, curve) < 0:
@@ -219,7 +231,7 @@ def zariski_decompose(
     dec = ZariskiDecomposition(
         nef_part=nef,
         support=tuple(order[i] for i in support_idx),
-        coefficients=tuple(coeffs),
+        coefficients=tuple(map(_shared, coeffs)),
     )
     validate_decomposition(surface, divisor, candidates, dec)
     return dec

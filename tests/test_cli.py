@@ -441,6 +441,30 @@ BAD_CONFIGS = [
         job("enumerate", {}, n_blowups=9),
         ("config field $.surface:", "n <= 8"),
     ),
+    # a listed class that is no curve class is named by its entry
+    (
+        "verify-zero-curve",
+        job("verify", {"curves": [[0, 1, 0], [0, 0, 0]]}, n_blowups=2),
+        ("config field $.params.curves[1]: 0 is the zero class; not a curve class",),
+    ),
+    (
+        "zariski-zero-candidate",
+        job("zariski", {"divisor": [1, 0, 0], "candidates": [[0, 0, 0]]}, n_blowups=2),
+        ("config field $.params.candidates[0]: 0 is the zero class; not a curve class",),
+    ),
+    (
+        "verify-curve-genus-below-0",
+        job("verify", {"curves": [[0, 2, 0]]}, n_blowups=2),
+        ("config field $.params.curves[0]: 2E1 has arithmetic genus -2; not a curve class",),
+    ),
+    (
+        "zariski-candidate-not-integral",
+        job("zariski", {"divisor": [1, 0, 0], "candidates": [[0, 1, 0], ["1/2", "1/2", 0]]}, n_blowups=2),
+        (
+            "config field $.params.candidates[1]: "
+            "1/2H+1/2E1 has a non-integer coordinate; not a curve class",
+        ),
+    ),
     # verify takes its curves or a query, never both
     (
         "verify-with-curves-and-self_intersection",

@@ -20,6 +20,7 @@ from negbound import (
     projective_plane,
     ruled_surface,
 )
+from negbound.lattice import _SMALL
 from conftest import random_model
 
 
@@ -46,6 +47,13 @@ def test_small_integer_coordinates_share_one_fraction():
     b = DivisorClass((Fraction(3), -3, Fraction(0), Fraction(1, 2), 10**6))
     assert a == b and all(type(c) is Fraction for c in a.coords)
     assert [x is y for x, y in zip(a.coords, b.coords)] == [True, True, True, False, False]
+    # integral Fractions and "p/q" strings find the shared object by value
+    c = DivisorClass((Fraction(-64), Fraction(128, 2), "6/2", "-0/5", "65"))
+    assert [x is _SMALL.get(x.numerator) for x in c.coords] == [True, True, True, True, False]
+    assert c.coords[2] is a.coords[0] and c.coords[3] is a.coords[2]
+    # a non-integral Fraction is kept as given
+    half = Fraction(1, 2)
+    assert DivisorClass((half,)).coords[0] is half
 
 
 def test_intersect_rejects_rank_mismatch(p2):

@@ -106,6 +106,8 @@ def test_curve_genus_is_the_one_genus_rule(p2):
     assert curve_genus(x2, DivisorClass((1, -1, -1))) == 0
     assert curve_genus(p2, DivisorClass((4,))) == 3
     rejected = [
+        # p_a = 1, but no curve has the class 0
+        (DivisorClass((0, 0, 0)), r"^0 is the zero class; not a curve class$"),
         # p_a = (-9 + 3)/2 + 1 = -2
         (DivisorClass((0, -3, 0)), r"^-3E1 has arithmetic genus -2; not a curve class$"),
         # (H+E1)/2 has p_a = 0, so only its coordinates give it away

@@ -21,8 +21,8 @@ from negbound import (
     validate_decomposition,
     zariski_decompose,
 )
-from negbound.lattice import _border
-from negbound.zariski import _solve
+from negbound.lattice import _SMALL, _border
+from negbound.zariski import ZariskiDecomposition, _remainder, _solve
 from conftest import det, sylvester_negative_definite
 from oracles import zariski_brute_force
 
@@ -256,3 +256,53 @@ def test_support_that_is_not_negative_definite_is_rejected(bl2):
         zariski_decompose(bl2, d, cands)
     with pytest.raises(DecompositionError, match="^no candidate subset yields"):
         zariski_brute_force(bl2, d, cands)
+
+
+def chain_candidates(n: int) -> CandidateCurveSet:
+    """On the plane blown up at n infinitely near points: the (-2)-chain
+    E_i - E_{i+1}, then E_n and the line H - E_1 - E_2."""
+    unit = [tuple(int(j == i) for j in range(n + 1)) for i in range(n + 1)]
+    chain = [tuple(a - b for a, b in zip(unit[i], unit[i + 1])) for i in range(1, n)]
+    line = tuple(a - b - c for a, b, c in zip(unit[0], unit[1], unit[2]))
+    return CandidateCurveSet(curves=tuple(map(DivisorClass, chain + [unit[n], line])))
+
+
+def test_integral_coefficients_are_the_shared_fractions():
+    n = 12
+    surface = blow_up(projective_plane(), n)
+    cands = chain_candidates(n)
+    rng = random.Random(12)
+    divisors = [DivisorClass((0, 1) + (0,) * (n - 1))]  # E1, the whole chain once
+    divisors += [
+        DivisorClass((rng.randint(0, 3),) + tuple(rng.randint(0, 5) for _ in range(n)))
+        for _ in range(20)
+    ]
+    coefficients = [a for d in divisors for a in zariski_decompose(surface, d, cands).coefficients]
+    small = [a for a in coefficients if a.denominator == 1 and -64 <= a <= 64]
+    assert len(small) > len(divisors)
+    assert all(a is _SMALL[a.numerator] for a in small)
+
+
+class_lists = st.integers(1, 10).flatmap(
+    lambda rank: st.lists(
+        st.lists(st.integers(-5, 5), min_size=rank, max_size=rank).map(DivisorClass),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_lists, st.data())
+def test_remainder_and_negative_part_match_repeated_subtraction(classes, data):
+    divisor, *curves = classes
+    ratios = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    coeffs = data.draw(st.lists(ratios, min_size=len(curves), max_size=len(curves)))
+    remainder, negative = divisor, DivisorClass((0,) * divisor.rank)
+    for a, e in zip(coeffs, curves):
+        remainder = remainder - a * e
+        negative = negative + a * e
+    assert _remainder(divisor, coeffs, curves) == remainder
+    dec = ZariskiDecomposition(nef_part=remainder, support=tuple(curves), coefficients=tuple(coeffs))
+    assert dec.negative_part() == negative
+    assert remainder + negative == divisor
