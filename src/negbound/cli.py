@@ -310,8 +310,8 @@ def _parse_coords(raw: Sequence[int | str], rank: int, where: str) -> DivisorCla
 
 
 def _curves(surface: SurfaceModel, params: dict, field: str) -> tuple[DivisorClass, ...]:
-    """The curve classes in ``params[field]``; a non-curve exits 2 naming its entry."""
-    curves = []
+    """The curve classes in ``params[field]``; a non-curve or a repeated candidate exits 2."""
+    curves, first = [], {}
     for i, raw in enumerate(params[field]):
         where = f"$.params.{field}[{i}]"
         curve = _parse_coords(raw, surface.rank, where)
@@ -319,6 +319,9 @@ def _curves(surface: SurfaceModel, params: dict, field: str) -> tuple[DivisorCla
             curve_genus(surface, curve)
         except LatticeError as exc:
             _fail(where, str(exc))
+        j = first.setdefault(curve.coords, i)
+        if field == "candidates" and j != i:
+            _fail(where, f"duplicate of {field}[{j}]")
         curves.append(curve)
     return tuple(curves)
 

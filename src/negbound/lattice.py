@@ -12,16 +12,17 @@ matrix has integer entries, and no floating point is used anywhere.
 Integers in -64..64 share one `Fraction` each (``_shared``), in class
 coordinates and Zariski coefficients alike.  A pairing walks each Gram
 row's stored nonzero entries only, and a surface computes K^2, -K.H and
-H^2 once.  The one elimination kernel lives here: a bordered LDL^T factor
-(``_border``) that grows by one row at a time.  It decides negative
-definiteness, backs the Hodge index check of ``custom_surface``, and
-serves the Zariski decomposition's support Gram.
+H^2 once.  The one elimination kernel lives here: a fraction-free (Bareiss)
+factor (``_border``) that grows by one row at a time, keeping integer
+leading minors.  It decides negative definiteness, backs the Hodge index
+check of ``custom_surface``, and serves the Zariski support Gram.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .values import value
@@ -56,9 +57,11 @@ class DivisorClass:
 
     coords: tuple[Fraction, ...]
 
-    # its own __init__, cheaper than the generic one: built thousands of times per decomposition
+    # its own __init__, cheaper than the generic one: built thousands of times per decomposition.
+    # tuple() of a list is allocated at its size; of an iterator it is resized, which strands
+    # tuples on CPython's per-size free lists and grows a long run's memory
     def __init__(self, coords: Iterable[int | Fraction]) -> None:
-        object.__setattr__(self, "coords", tuple(map(_shared, coords)))
+        object.__setattr__(self, "coords", tuple([_shared(c) for c in coords]))
 
     @property
     def rank(self) -> int:
@@ -73,17 +76,17 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_match(other)
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_match(other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass(-a for a in self.coords)
 
     def __mul__(self, scalar: int | Fraction) -> "DivisorClass":
-        return DivisorClass(tuple(a * scalar for a in self.coords))
+        return DivisorClass(a * scalar for a in self.coords)
 
     __rmul__ = __mul__
 
@@ -137,25 +140,34 @@ def intersect(form: IntersectionForm, a: DivisorClass, b: DivisorClass) -> Fract
     return Fraction(sum(ai * g * bc[j] for ai, row in pairs if ai for j, g in row))
 
 
-# LDL^T factor of symmetric M: per row, (L left of the unit diagonal, nonzero pivot)
-Factor = tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+# Bareiss factor of symmetric integer M, per row t: ((a^(s)_ts for s < t), Delta_(t+1) = a^(t)_tt)
+Factor = tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _border(factor: Factor, column: Sequence[Fraction], diagonal: Fraction) -> Factor:
-    """The factor of M bordered by the row (``column``, ``diagonal``): the new
-    row of L is D^-1 L^-1 column and the new pivot the Schur complement, so a
-    negative-definite M stays so exactly when that pivot is negative."""
-    y: list[Fraction] = []  # L^-1 column, by forward substitution
-    for (row, _), b in zip(factor, column):
-        y.append(b - sum(l * yi for l, yi in zip(row, y) if l and yi))
-    row = tuple(yi / d for yi, (_, d) in zip(y, factor))
-    return factor + ((row, Fraction(diagonal) - sum(l * yi for l, yi in zip(row, y) if yi)),)
+def _border(factor: Factor, column: Sequence[int], diagonal: int) -> Factor:
+    """The factor of M bordered by the row (``column``, ``diagonal``).  By
+    Sylvester's identity a^(s+1)_ij = (Delta_(s+1) a^(s)_ij - a^(s)_is a^(s)_sj)
+    / Delta_s, with Delta_0 = 1, and each division is exact (Bareiss)."""
+    minors = (1, *(m for _, m in factor))
+    new: list[int] = []
+    for (row, _), v in zip(factor, column):
+        for l, w, m0, m1 in zip(row, new, minors, minors[1:]):
+            v = (m1 * v - w * l) // m0
+        new.append(v)
+    for w, m0, m1 in zip(new, minors, minors[1:]):
+        diagonal = (m1 * diagonal - w * w) // m0
+    return factor + ((tuple(new), diagonal),)
+
+
+def _negative_step(factor: Factor) -> bool:
+    """Whether the last border kept M negative definite: Delta_k Delta_(k-1) < 0."""
+    return factor[-1][1] * (factor[-2][1] if len(factor) > 1 else 1) < 0
 
 
 def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
-    """Exact test: border the LDL^T factor row by row and stop at the first
-    pivot >= 0.  By Sylvester's law of inertia, all pivots negative is
-    negative definiteness.  The empty matrix counts as negative definite."""
+    """Exact test: scale by the positive lcm of the denominators, border the
+    Bareiss factor row by row and stop at the first step that is not
+    ``_negative_step`` (Sylvester's criterion).  The empty matrix counts."""
     n = len(gram)
     rows = [[Fraction(x) for x in row] for row in gram]
     if any(len(row) != n for row in rows):
@@ -167,10 +179,11 @@ def is_negative_definite(gram: Sequence[Sequence[int | Fraction]]) -> bool:
                     f"negative-definiteness needs a symmetric matrix; "
                     f"entry ({i},{j}) = {rows[i][j]} but ({j},{i}) = {rows[j][i]}"
                 )
+    q = lcm(*[x.denominator for row in rows for x in row])
     factor: Factor = ()
-    for i, row in enumerate(rows):
+    for i, row in enumerate([x.numerator * (q // x.denominator) for x in row] for row in rows):
         factor = _border(factor, row[:i], row[i])
-        if factor[-1][1] >= 0:
+        if not _negative_step(factor):
             return False
     return True
 

@@ -9,17 +9,16 @@ on a general-position del Pezzo model), the output is the true Zariski
 decomposition.
 
 A candidate set checks the rank and genus of its curves once per surface,
-remembered by field equality, not on every call.
+remembered by field equality, and keeps their integer covectors G.c there.
 
-The exact elimination is the bordered LDL^T factor of ``lattice``:
-``zariski_decompose`` grows one factor of the support Gram as curves join,
-and ``validate_decomposition`` re-checks the final support through
-``is_negative_definite``.
+``zariski_decompose`` pairs through them and grows one fraction-free (Bareiss)
+factor of the support Gram; ``validate_decomposition`` re-checks without either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .lattice import (
@@ -28,12 +27,15 @@ from .lattice import (
     LatticeError,
     SurfaceModel,
     _border,
+    _negative_step,
     _shared,
     format_class,
     is_negative_definite,
 )
 from .riemann_roch import curve_genus
 from .values import value
+
+Covector = tuple[tuple[int, int], ...]  # the nonzero entries (j, (G c)_j) of G c
 
 
 class DecompositionError(ValueError):
@@ -50,8 +52,8 @@ class CandidateCurveSet:
 
     ``complete`` asserts (it cannot be checked here) that the set contains
     every irreducible curve of negative self-intersection on the surface.
-    It remembers the surfaces (compared by fields) on which its curves
-    passed the rank and genus checks.
+    Per surface (compared by fields) on which its curves passed the rank
+    and genus checks, it keeps their covectors (``_covector``).
     """
 
     curves: tuple[DivisorClass, ...]
@@ -66,7 +68,7 @@ class CandidateCurveSet:
                 raise LatticeError(f"duplicate candidate class ({', '.join(map(str, c.coords))})")
             seen.add(c.coords)
         # not a field, so eq, hash and repr ignore it
-        object.__setattr__(self, "_checked_on", set())
+        object.__setattr__(self, "_prepared", {})
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -100,13 +102,30 @@ def _remainder(
     return DivisorClass(coords)
 
 
+def _pair(divisor: DivisorClass, covector: Covector) -> Fraction:
+    """D.c = sum D_j (G c)_j, from the covector of c."""
+    return sum(divisor.coords[j] * g for j, g in covector)
+
+
+def _covector(surface: SurfaceModel, curve: DivisorClass) -> Covector:
+    """The covector G c of an integral class c, in integer arithmetic."""
+    c = [x.numerator for x in curve.coords]
+    entries = (sum(g * c[k] for k, g in row) for row in surface.lattice._sparse)
+    return tuple((j, v) for j, v in enumerate(entries) if v)
+
+
 def _solve(factor: Factor, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs exactly: border by rhs (D^-1 L^-1 rhs), then apply L^-T."""
-    x = list(_border(factor, rhs, 0)[-1][0])
-    for j in reversed(range(len(x))):
-        for i, l in enumerate(factor[j][0]):
+    """Solve M x = rhs exactly: border by q rhs (q the lcm of its denominators),
+    back-substitute to Cramer's numerators x_i; the solution is x_i / (q det M)."""
+    q = lcm(*[b.denominator for b in rhs])
+    det = factor[-1][1] if factor else 1
+    scaled = [b.numerator * (q // b.denominator) for b in rhs]
+    x = [det * w for w in _border(factor, scaled, 0)[-1][0]]
+    for j, (row, minor) in reversed(list(enumerate(factor))):
+        x[j] //= minor
+        for i, l in enumerate(row):
             x[i] -= l * x[j]
-    return x
+    return [Fraction(v, q * det) for v in x]
 
 
 def _gram(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> list[list[Fraction]]:
@@ -117,25 +136,28 @@ def _gram(surface: SurfaceModel, curves: Sequence[DivisorClass]) -> list[list[Fr
 
 def _check_inputs(
     surface: SurfaceModel, divisor: DivisorClass, candidates: CandidateCurveSet
-) -> None:
-    """The rank, genus and degree checks on a decomposition's inputs."""
+) -> tuple[Covector, ...]:
+    """Rank, genus and degree checks on a decomposition's inputs; returns covectors."""
     if divisor.rank != surface.rank:
         raise LatticeError(
             f"divisor rank {divisor.rank} does not match surface rank {surface.rank}"
         )
-    if surface not in candidates._checked_on:
+    covectors = candidates._prepared.get(surface)
+    if covectors is None:
         for c in candidates.curves:
             if c.rank != surface.rank:
                 raise LatticeError(
                     f"candidate rank {c.rank} does not match surface rank {surface.rank}"
                 )
             curve_genus(surface, c)
-        candidates._checked_on.add(surface)
+        covectors = tuple(_covector(surface, c) for c in candidates.curves)
+        candidates._prepared[surface] = covectors
     if surface.dot(divisor, surface.polarization) < 0:
         raise DecompositionError(
             "divisor has negative degree against the polarization; "
             "not pseudoeffective at the lattice level"
         )
+    return covectors
 
 
 def validate_decomposition(
@@ -177,7 +199,7 @@ def zariski_decompose(
 
     Start with empty support S.  While the remainder P = D - sum a_i E_i is
     negative against some candidate outside S, add the first such candidate
-    (in stored order), border the LDL^T factor of the Gram over S by its row,
+    (in stored order), border the Bareiss factor of the Gram over S by its row,
     and re-solve (Gram over S) a = (D.E_i) on the factor.  The support only
     grows, so at most |candidates| rounds occur; the fixpoint is the unique
     decomposition, so the scan order does not matter.
@@ -187,7 +209,7 @@ def zariski_decompose(
     matrix is not negative definite, a non-positive coefficient at the
     fixpoint, or a remainder of negative square.
     """
-    _check_inputs(surface, divisor, candidates)
+    covectors = _check_inputs(surface, divisor, candidates)
 
     order = candidates.curves
     support_idx: list[int] = []
@@ -196,24 +218,22 @@ def zariski_decompose(
     coeffs: list[Fraction] = []
     for _ in range(len(order) + 1):
         nef = _remainder(divisor, coeffs, [order[i] for i in support_idx])
-        violator = None
-        for i, curve in enumerate(order):
-            if i not in support_idx and surface.dot(nef, curve) < 0:
-                violator = i
-                break
+        scan = (i for i, c in enumerate(covectors) if i not in support_idx and _pair(nef, c) < 0)
+        violator = next(scan, None)
         if violator is None:
             break
-        column = [surface.dot(order[i], curve) for i in support_idx]
-        factor = _border(factor, column, surface.dot(curve, curve))
+        cov = covectors[violator]
+        column = [_pair(order[i], cov).numerator for i in support_idx]
+        factor = _border(factor, column, _pair(order[violator], cov).numerator)
         support_idx.append(violator)
-        if factor[-1][1] >= 0:
+        if not _negative_step(factor):
             names = ", ".join(format_class(surface.lattice, order[i]) for i in support_idx)
             raise DecompositionError(
                 f"support {{{names}}} has a Gram matrix that is not negative "
                 f"definite; divisor is not pseudoeffective relative to the "
                 f"candidate model"
             )
-        rhs.append(surface.dot(divisor, curve))
+        rhs.append(_pair(divisor, cov))
         coeffs = _solve(factor, rhs)
     else:  # pragma: no cover - the support strictly grows each round
         raise InvariantError("support enlargement failed to terminate")
@@ -230,8 +250,8 @@ def zariski_decompose(
         )
     dec = ZariskiDecomposition(
         nef_part=nef,
-        support=tuple(order[i] for i in support_idx),
-        coefficients=tuple(map(_shared, coeffs)),
+        support=tuple([order[i] for i in support_idx]),
+        coefficients=tuple([_shared(a) for a in coeffs]),
     )
     validate_decomposition(surface, divisor, candidates, dec)
     return dec

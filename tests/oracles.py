@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from negbound.lattice import DivisorClass, Factor, LatticeError, SurfaceModel, _border
+from negbound.lattice import (
+    DivisorClass,
+    Factor,
+    LatticeError,
+    SurfaceModel,
+    _border,
+    _negative_step,
+)
 from negbound.riemann_roch import arithmetic_genus
 from negbound.zariski import (
     CandidateCurveSet,
@@ -46,7 +53,7 @@ def zariski_brute_force(
     _check_inputs(surface, divisor, candidates)
 
     order = candidates.curves
-    full_gram = _gram(surface, order)
+    full_gram = [[int(x) for x in row] for row in _gram(surface, order)]
     rhs_all = [surface.dot(divisor, c) for c in order]
     found: list[ZariskiDecomposition] = []
 
@@ -73,7 +80,7 @@ def zariski_brute_force(
             # bordered step: idx is already negative definite, so its pivots
             # are negative and only the last one is new
             ext = _border(factor, [full_gram[i][j] for i in idx], full_gram[j][j])
-            if ext[-1][1] >= 0:
+            if not _negative_step(ext):
                 continue
             consider(idx + [j], ext)
             extend(idx + [j], ext, j + 1)

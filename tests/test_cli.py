@@ -465,6 +465,11 @@ BAD_CONFIGS = [
             "1/2H+1/2E1 has a non-integer coordinate; not a curve class",
         ),
     ),
+    (
+        "zariski-duplicate-candidate",
+        job("zariski", {"divisor": [1, 0, 0], "candidates": [[0, 1, 0], ["0", "2/2", "0"]]}, n_blowups=2),
+        ("config field $.params.candidates[1]: duplicate of candidates[0]",),
+    ),
     # verify takes its curves or a query, never both
     (
         "verify-with-curves-and-self_intersection",
@@ -613,7 +618,7 @@ def test_duplicate_candidates_exit_2_with_plain_rationals(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["zariski", "--config", config])
     assert code == EXIT_CONFIG
     assert out == ""
-    assert "duplicate candidate class (0, 1, 0)" in err
+    assert "config field $.params.candidates[1]: duplicate of candidates[0]" in err
     assert "Fraction(" not in err
 
 

@@ -137,9 +137,9 @@ def test_checked_surfaces_stay_out_of_repr_and_equality():
     checked = CandidateCurveSet((DivisorClass((0, 1)),))
     zariski_decompose(x1, DivisorClass((1, 2)), checked)
     fresh = CandidateCurveSet((DivisorClass((0, 1)),))
-    assert checked._checked_on == {x1} and fresh._checked_on == set()
+    assert checked._prepared.keys() == {x1} and fresh._prepared == {}
     assert checked == fresh and hash(checked) == hash(fresh)
-    assert "_checked_on" not in repr(checked)
+    assert "_prepared" not in repr(checked)
 
 
 # Reprs captured from the dataclass implementation these classes replaced.

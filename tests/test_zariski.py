@@ -64,30 +64,47 @@ def symmetric_int_matrices(draw):
     return m
 
 
+@st.composite
+def symmetric_rational_matrices(draw):
+    """A matrix of ``symmetric_int_matrices`` with each entry and its mirror
+    divided by the same denominator in 1..6."""
+    m = draw(symmetric_int_matrices())
+    for i in range(len(m)):
+        for j in range(i, len(m)):
+            m[i][j] = m[j][i] = Fraction(m[i][j], draw(st.integers(1, 6)))
+    return m
+
+
 @settings(max_examples=300, deadline=None)
-@given(symmetric_int_matrices())
+@given(st.one_of(symmetric_int_matrices(), symmetric_rational_matrices()))
 def test_negative_definite_agrees_with_sylvester_minors(gram):
     assert is_negative_definite(gram) == sylvester_negative_definite(gram)
 
 
 @settings(max_examples=300, deadline=None)
-@given(symmetric_int_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
-def test_bordered_factor_agrees_with_pivots_and_solves(m, rhs):
-    """Folding ``_border`` over the rows gives, on the longest leading block
-    whose leading minors are all nonzero, pivots that are the ratios of
-    consecutive leading minors, and ``_solve`` on that factor inverts the
-    block exactly."""
+@given(
+    symmetric_int_matrices(),
+    st.lists(st.integers(-9, 9), min_size=6, max_size=6),
+    st.lists(st.fractions(-9, 9, max_denominator=12), min_size=6, max_size=6),
+)
+def test_bareiss_factor_stores_leading_minors_and_solves(m, integer_rhs, rational_rhs):
+    """Folding ``_border`` over the rows stores the leading minors, up to the
+    first that is zero, and ``_solve`` on the factor of the longest leading
+    block whose leading minors are all nonzero inverts that block exactly,
+    for integer and for rational right-hand sides."""
     k = 0
     while k < len(m) and det([row[: k + 1] for row in m[: k + 1]]) != 0:
         k += 1
-    block = [row[:k] for row in m[:k]]
-    minors = [det([row[:i] for row in block[:i]]) for i in range(k + 1)]
     factor = ()
-    for i, row in enumerate(block):
+    for i, row in enumerate(m[: k + 1]):
         factor = _border(factor, row[:i], row[i])
-    assert [p for _, p in factor] == [b / a for a, b in zip(minors, minors[1:])]
-    x = _solve(factor, rhs[:k])
-    assert [sum(a * xi for a, xi in zip(row, x)) for row in block] == rhs[:k]
+    assert [minor for _, minor in factor] == [
+        det([row[:i] for row in m[:i]]) for i in range(1, len(factor) + 1)
+    ]
+    factor, block = factor[:k], [row[:k] for row in m[:k]]
+    for rhs in (integer_rhs[:k], rational_rhs[:k]):
+        x = _solve(factor, rhs)
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in block] == rhs
 
 
 def test_positive_entry_fails():
@@ -140,6 +157,17 @@ def test_single_curve_system(bl2):
     assert coeff == {(0, 1, 0): Fraction(3)}
 
 
+def assert_matches_oracle(surface, divisor, candidates) -> ZariskiDecomposition:
+    """``zariski_decompose`` agrees with the subset oracle; returns its result."""
+    fast = zariski_decompose(surface, divisor, candidates)
+    slow = zariski_brute_force(surface, divisor, candidates)
+    assert fast.nef_part.coords == slow.nef_part.coords
+    assert dict(zip((e.coords for e in fast.support), fast.coefficients)) == dict(
+        zip((e.coords for e in slow.support), slow.coefficients)
+    )
+    return fast
+
+
 def test_brute_force_matches_on_worked_examples(bl1, bl2):
     for surface, coords in [
         (bl1, (1, 0)),
@@ -148,14 +176,7 @@ def test_brute_force_matches_on_worked_examples(bl1, bl2):
         (bl2, (0, 2, 1)),
         (bl2, (1, 3, 0)),
     ]:
-        cands = minus_one_candidates(surface)
-        d = DivisorClass(coords)
-        fast = zariski_decompose(surface, d, cands)
-        slow = zariski_brute_force(surface, d, cands)
-        assert fast.nef_part.coords == slow.nef_part.coords
-        assert dict(zip((e.coords for e in fast.support), fast.coefficients)) == dict(
-            zip((e.coords for e in slow.support), slow.coefficients)
-        )
+        assert_matches_oracle(surface, DivisorClass(coords), minus_one_candidates(surface))
 
 
 def test_negative_degree_rejected(bl1):
@@ -199,13 +220,7 @@ def test_agreement_on_random_effective_combinations():
             for curve in cands.curves:
                 if rng.random() < 0.5:
                     d = d + rng.randrange(0, 4) * curve
-            fast = zariski_decompose(surface, d, cands)
-            slow = zariski_brute_force(surface, d, cands)
-            assert fast.nef_part.coords == slow.nef_part.coords
-            assert dict(
-                zip((e.coords for e in fast.support), fast.coefficients)
-            ) == dict(zip((e.coords for e in slow.support), slow.coefficients))
-            validate_decomposition(surface, d, cands, fast)
+            validate_decomposition(surface, d, cands, assert_matches_oracle(surface, d, cands))
 
 
 def test_monotone_support_under_candidate_superset(bl2):
@@ -240,6 +255,21 @@ def test_candidate_checks_run_once_per_surface(bl2, monkeypatch):
         zariski_decompose(blow_up(projective_plane(), 3), DivisorClass((1, 0, 0, 0)), cands)
     with pytest.raises(LatticeError, match="^2C0 has arithmetic genus -2; not a curve class"):
         zariski_decompose(blow_up(hirzebruch(1), 1), DivisorClass((1, 1, 0)), cands)
+
+
+def test_one_candidate_set_on_two_surfaces_keeps_one_covector_set_each(bl2):
+    """E2, E1 - E2 and H on Bl_2 P^2 are E1, f - E1 and C0 on Bl_1 F_1, with
+    other Gram matrices and other decompositions; a candidate set used on
+    both, in turns, must pair each with its own covectors."""
+    bl1_f1 = blow_up(hirzebruch(1), 1)
+    cands = CandidateCurveSet(
+        curves=(DivisorClass((0, 0, 1)), DivisorClass((0, 1, -1)), DivisorClass((1, 0, 0)))
+    )
+    divisors = [(1, 2, 1), (3, 1, 2), (2, 1, 3), (1, 3, 3), ("1/2", "3/2", "1/3")]
+    for coords in divisors * 2:
+        for surface in (bl2, bl1_f1):
+            assert_matches_oracle(surface, DivisorClass(coords), cands)
+    assert cands._prepared.keys() == {bl2, bl1_f1}
 
 
 def test_support_that_is_not_negative_definite_is_rejected(bl2):
@@ -281,6 +311,18 @@ def test_integral_coefficients_are_the_shared_fractions():
     small = [a for a in coefficients if a.denominator == 1 and -64 <= a <= 64]
     assert len(small) > len(divisors)
     assert all(a is _SMALL[a.numerator] for a in small)
+
+
+def test_rational_divisor_matches_oracle():
+    n = 6
+    surface = blow_up(projective_plane(), n)
+    cands = chain_candidates(n)
+    for coords in [
+        ("1/2", "3/2", "1/3", "0", "5/4", "2/7", "1/6"),
+        ("2/3", "1", "1", "1", "1", "1", "1/5"),
+        ("0", "7/3", "0", "0", "0", "0", "11/2"),
+    ]:
+        assert_matches_oracle(surface, DivisorClass(coords), cands)
 
 
 class_lists = st.integers(1, 10).flatmap(
